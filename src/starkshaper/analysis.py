@@ -486,7 +486,6 @@ def run_scenario(
     psi: float = DEFAULT_PSI,
     crystal: IonCrystal | None = None,
     tol: float = 1e-12,
-    threads: int = 1,
     out_dir: str | Path | None = None,
 ) -> ScenarioReport:
     """Full pipeline for one named scenario: build the pattern, decompose,
@@ -511,7 +510,7 @@ def run_scenario(
     )
     report = validate_schedule(schedule, omega_rad_s)
 
-    result = evolve_exact(crystal, schedule, tol=tol, threads=threads)
+    result = evolve_exact(crystal, schedule, tol=tol)
     theta_target = target_phases(
         crystal, pattern, schedule.target_u_rad_s, schedule.gate_time_s
     )
@@ -582,21 +581,23 @@ def reproduce_figure(
     u_rad_s: float = DEFAULT_U_RAD_S,
     omega_rad_s: float = DEFAULT_OMEGA_RAD_S,
     tol: float = 1e-12,
-    threads: int = 1,
 ) -> list[ScenarioReport]:
-    """Run every scenario backing one figure id (fig3..fig12); artifacts
-    land in out_dir/<name>_<mode>_<tier>/."""
-    try:
+    """Run every scenario backing one figure id (fig3..fig12), or each
+    registry scenario once for "all"; artifacts land in
+    out_dir/<name>_<mode>_<tier>/."""
+    if figure_id == "all":
+        runs = tuple(SCENARIOS)
+    elif figure_id in FIGURES:
         runs = FIGURES[figure_id]
-    except KeyError:
+    else:
         raise ConfigError(
-            f"unknown figure id {figure_id!r}; expected one of {sorted(FIGURES)}"
-        ) from None
+            f"unknown figure id {figure_id!r}; expected 'all' or one of {sorted(FIGURES)}"
+        )
     reports = []
     for name, mode, tier in runs:
         sub = Path(out_dir) / f"{name}_{mode}_{tier:g}"
         reports.append(run_scenario(
             name, mode, tier, u_rad_s=u_rad_s, omega_rad_s=omega_rad_s,
-            tol=tol, threads=threads, out_dir=sub,
+            tol=tol, out_dir=sub,
         ))
     return reports

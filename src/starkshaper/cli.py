@@ -59,9 +59,6 @@ config_option = click.option(
 out_option = click.option(
     "--out", default="out", show_default=True, help="artifact directory",
 )
-threads_option = click.option(
-    "--threads", default=None, type=int, help="override simulation.threads",
-)
 tolerance_option = click.option(
     "--tolerance", default=None, type=float, help="override simulation.tolerance",
 )
@@ -134,10 +131,9 @@ def cmd_plan(config_path, expansion_path, out):
 @click.option("--schedule", "schedule_path", required=True,
               type=click.Path(dir_okay=False), help="schedule JSON from plan")
 @out_option
-@threads_option
 @tolerance_option
 @_guarded
-def cmd_simulate(config_path, schedule_path, out, threads, tolerance):
+def cmd_simulate(config_path, schedule_path, out, tolerance):
     """Integrate the spin phase of every ion under a compiled schedule."""
     cfg = load_config(config_path)
     out = _out_dir(out)
@@ -145,9 +141,8 @@ def cmd_simulate(config_path, schedule_path, out, threads, tolerance):
     crystal = _crystal(cfg)
     pattern = cfg.build_pattern()
     tol = cfg.tolerance if tolerance is None else tolerance
-    n_threads = cfg.threads if threads is None else threads
 
-    result = evolve_exact(crystal, schedule, tol=tol, threads=n_threads)
+    result = evolve_exact(crystal, schedule, tol=tol)
     result = result.with_targets(target_phases(
         crystal, pattern, schedule.target_u_rad_s, schedule.gate_time_s
     ))
@@ -221,16 +216,14 @@ def cmd_rwa_study(config_path, out):
 @main.command("reproduce")
 @click.argument("figure_id")
 @out_option
-@threads_option
 @tolerance_option
 @_guarded
-def cmd_reproduce(figure_id, out, threads, tolerance):
-    """Run the reference scenario(s) behind one figure id (fig3..fig12)."""
+def cmd_reproduce(figure_id, out, tolerance):
+    """Run the reference scenario(s) behind one figure id (fig3..fig12),
+    or every registry scenario once with "all"."""
     out = _out_dir(out)
     reports = analysis.reproduce_figure(
-        figure_id, out,
-        tol=1e-12 if tolerance is None else tolerance,
-        threads=1 if threads is None else threads,
+        figure_id, out, tol=1e-12 if tolerance is None else tolerance,
     )
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"

@@ -94,7 +94,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "tolerance": {"type": "number", "exclusiveMinimum": 0},
-                "threads": {"type": "integer", "minimum": 1},
             },
         },
         "rwa_study": {
@@ -140,7 +139,6 @@ class RunConfig:
     crystal_spacing: float = 0.2
     crystal_orientation: float = 0.0
     tolerance: float = 1e-12
-    threads: int = 1
     rwa: dict | None = None
 
     def __post_init__(self) -> None:
@@ -206,7 +204,6 @@ def config_from_dict(payload: dict) -> RunConfig:
         crystal_spacing=float(crystal.get("spacing", 0.2)),
         crystal_orientation=float(crystal.get("orientation", 0.0)),
         tolerance=float(sim.get("tolerance", 1e-12)),
-        threads=int(sim.get("threads", 1)),
         rwa=rwa,
     )
 

@@ -54,10 +54,6 @@ class IonCrystal:
         return self.rho * np.cos(phi_lab), self.rho * np.sin(phi_lab)
 
 
-def lab_position(crystal: IonCrystal, t: float, omega: float):
-    return crystal.lab_position(t, omega)
-
-
 def generate_hex_crystal(shells: int, spacing: float, orientation: float = 0.0) -> IonCrystal:
     """Centered hexagonal (triangular-lattice) crystal.
 

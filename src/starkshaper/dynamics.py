@@ -12,8 +12,10 @@ and the infidelity against a target Z-rotation theta* is sin^2((theta-theta*)/2)
 Three independent evaluation routes, kept deliberately separate so they can
 cross-check each other:
 
-  evolve_exact         panelized Gauss-Legendre quadrature of f_j(t) with
-                       node doubling until the phase converges
+  evolve_exact         Gauss-Legendre panels over one rotation period,
+                       weighted by the number of whole rotations, plus
+                       the signed remainder; node doubling until the
+                       phase converges
   evolve_exact_bessel  closed-form term-by-term time integrals of the
                        Jacobi-Anger expansion (single even-component
                        segments only) -- the analytic oracle
@@ -39,6 +41,7 @@ from .specfun import bessel_j
 
 _BASE_NODES = 24
 _MAX_NODES = 3072
+_NODE_BLOCK = 32768  # nodes per (ions x nodes) work array; bounds quadrature memory
 _ROUNDOFF_MASS_FACTOR = 128  # eps multiples per radian of integrand L1 mass
 _PRODUCT_TAIL = 1e-18
 _MAX_PRODUCT_ORDERS = 3
@@ -151,20 +154,23 @@ def instantaneous_coefficient(
 
 
 def _segment_phase_quadrature(
-    segment: PulseSegment,
-    crystal: IonCrystal,
-    omega: float,
-    abs_tol: float,
-    node_block: int = 32768,
+    segment: PulseSegment, crystal: IonCrystal, omega: float, abs_tol: float
 ) -> np.ndarray:
     """2 * integral of f_j dt for one segment, all ions, by Gauss-Legendre
-    panels with node doubling.  Panels are aligned to the fastest beatnote
-    period so each panel holds a bounded number of oscillations.
+    panels with node doubling.
 
-    Convergence is per ion: |fine - coarse| below abs_tol/2 plus a
-    roundoff allowance proportional to the integral's accumulated |f|
-    mass -- long segments carry hundreds of radians of L1 mass whose
-    float64 summation noise no amount of node refinement removes."""
+    Every beatnote and deformation order is an integer multiple of omega,
+    so f_j has period P = 2 pi / omega.  Writing the duration as
+    r P + tau with r = round(T / P) and tau in [-P/2, P/2], the integral is
+    r times the integral over [0, P] plus the integral over [0, tau] (a
+    signed interval, so negative tau carries negative weights).  Both
+    pieces use panels one fastest-beatnote period wide.
+
+    Convergence is per ion: |fine - coarse| of the r-weighted total below
+    abs_tol/2 plus a roundoff allowance proportional to the integral's
+    accumulated |f| mass -- long segments carry hundreds of radians of L1
+    mass whose float64 summation noise no amount of node refinement
+    removes."""
     delta0, orders, even, odd = _segment_tables(segment, crystal.rho)
     fastest = max([*segment.beatnotes, *orders], default=0)
     duration = segment.duration_s
@@ -173,8 +179,14 @@ def _segment_phase_quadrature(
         f0 = segment.u_rad_s * len(segment.beatnotes) * np.cos(delta0 + segment.psi)
         return 2.0 * f0 * duration
 
-    n_panels = max(1, int(np.ceil(duration * omega * fastest / (2.0 * np.pi))))
-    edges = np.linspace(0.0, duration, n_panels + 1)
+    period = 2.0 * np.pi / omega
+    rotations = round(duration / period)
+    tau = duration - rotations * period
+    pieces = []  # (panel edges, weight scale)
+    for length, scale in ((period, rotations), (tau, 1.0)):
+        n = max(1, int(np.ceil(abs(length) / period * fastest)))
+        pieces.append((np.linspace(0.0, length, n + 1), scale))
+    n_panels = sum(edges.size - 1 for edges, _ in pieces)
 
     phi = crystal.phi
     even_m = np.array(even) if orders else np.zeros((0, phi.size))
@@ -183,16 +195,19 @@ def _segment_phase_quadrature(
 
     def integrate(nodes_per_panel: int):
         x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
-        # map the reference nodes into every panel: (n_panels * nodes,)
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        t = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        wt = (half[:, None] * w[None, :]).ravel()
+        # map the reference nodes into every panel of both pieces
+        t, wt = [], []
+        for edges, scale in pieces:
+            half = 0.5 * np.diff(edges)
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            t.append((mid[:, None] + half[:, None] * x[None, :]).ravel())
+            wt.append((scale * half[:, None] * w[None, :]).ravel())
+        t, wt = np.concatenate(t), np.concatenate(wt)
         total = np.zeros(phi.size)
         mass = np.zeros(phi.size)
-        for start in range(0, t.size, node_block):
-            tb = t[start : start + node_block]
-            wb = wt[start : start + node_block]
+        for start in range(0, t.size, _NODE_BLOCK):
+            tb = t[start : start + _NODE_BLOCK]
+            wb = wt[start : start + _NODE_BLOCK]
             beta = phi[:, None] - omega * tb[None, :]  # (J, B)
             delta = delta0[:, None] + np.zeros_like(beta)
             for i in range(ms.size):
@@ -202,7 +217,7 @@ def _segment_phase_quadrature(
             for mult in segment.beatnotes:
                 f += np.cos(delta - (mult * omega) * tb[None, :] + segment.psi)
             total += (f * wb[None, :]).sum(axis=1)
-            mass += (np.abs(f) * wb[None, :]).sum(axis=1)
+            mass += (np.abs(f) * np.abs(wb)[None, :]).sum(axis=1)
         return 2.0 * segment.u_rad_s * total, 2.0 * segment.u_rad_s * mass
 
     nodes = _BASE_NODES
@@ -211,49 +226,34 @@ def _segment_phase_quadrature(
         nodes *= 2
         fine, mass = integrate(nodes)
         allowance = 0.5 * abs_tol + _ROUNDOFF_MASS_FACTOR * np.finfo(float).eps * mass
-        if np.all(np.abs(fine - coarse) < allowance):
+        error = np.abs(fine - coarse)
+        if np.all(error < allowance):
             return fine
         if nodes >= _MAX_NODES:
+            worst = int(np.argmax(error / allowance))
             raise QuadratureError(
-                f"phase integral did not converge to {abs_tol:g} with "
-                f"{nodes} nodes per panel ({n_panels} panels)"
+                f"phase integral did not converge to {abs_tol:g} with {nodes} nodes "
+                f"per panel ({n_panels} panels; r = {rotations} rotations, "
+                f"tau/P = {tau / period:+.6f}): ion {worst} has |fine - coarse| = "
+                f"{error[worst]:.3e} against an allowance of {allowance[worst]:.3e}"
             )
         coarse = fine
 
 
 def evolve_exact(
-    crystal: IonCrystal,
-    schedule: PulseSchedule,
-    tol: float = 1e-12,
-    threads: int = 1,
+    crystal: IonCrystal, schedule: PulseSchedule, tol: float = 1e-12
 ) -> EvolutionResult:
     """Direct time integration of the drive for every ion.
 
     `tol` is the absolute tolerance on each segment's phase contribution
-    (theta units).  `threads` distributes segments across a thread pool;
-    the result is independent of the thread count because segments are
-    integrated independently and summed in schedule order.
+    (theta units).
     """
     if tol < 1e-13:
         raise ValueError("tolerance below 1e-13 is not resolvable in float64")
     omega = schedule.omega_rad_s
-    per_segment_tol = tol
-
-    if threads > 1 and len(schedule.segments) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            phases = list(
-                pool.map(
-                    lambda seg: _segment_phase_quadrature(seg, crystal, omega, per_segment_tol),
-                    schedule.segments,
-                )
-            )
-    else:
-        phases = [
-            _segment_phase_quadrature(seg, crystal, omega, per_segment_tol)
-            for seg in schedule.segments
-        ]
+    phases = [
+        _segment_phase_quadrature(seg, crystal, omega, tol) for seg in schedule.segments
+    ]
     theta = np.zeros(len(crystal))
     for p in phases:  # fixed order: deterministic accumulation
         theta = theta + p
@@ -473,7 +473,3 @@ def write_evolution_csv(
             )
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(json.dumps(result.metadata, indent=2, sort_keys=True) + "\n")
-
-
-def max_infidelity(result: EvolutionResult) -> float:
-    return result.max_infidelity

@@ -3,8 +3,7 @@
 The three closed-form families cover the case studies (a flat-top annulus,
 an anisotropic Gaussian stripe, an off-center Gaussian spot); tabulated
 patterns let users supply anything else as a polar-grid CSV.  All patterns
-are immutable and evaluation is pure, so they are safe to share across
-threads.
+are immutable and evaluation is pure.
 """
 
 from __future__ import annotations

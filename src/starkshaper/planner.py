@@ -145,11 +145,6 @@ class PulseSchedule:
         return self.total_duration_s + self.dm_reset_time_s * max(0, len(self.segments) - 1)
 
 
-def _radial_closure(values_fn):
-    """Wrap so each closure keeps its own reference (late-binding hygiene)."""
-    return values_fn
-
-
 def _check_j1_range(values: np.ndarray, m: int, rho: np.ndarray, part: str) -> None:
     worst = int(np.argmax(np.abs(values)))
     if abs(values[worst]) > J1_PEAK_VALUE:
@@ -214,7 +209,7 @@ def plan_serial(
             def arccos_fn(rho, _p=profiles, _a=amp, _psi=psi):
                 return np.arccos(np.clip(_a * _p.even(0, rho), -1.0, 1.0)) - _psi
 
-            comp = DeformationComponent(0, even=_radial_closure(arccos_fn))
+            comp = DeformationComponent(0, even=arccos_fn)
         elif part == "even":
             vals = amp * profiles.even(m, rho_check)
             _check_j1_range(vals, m, rho_check, "even component")
@@ -222,7 +217,7 @@ def plan_serial(
             def even_fn(rho, _p=profiles, _a=amp, _m=m):
                 return inverse_j1(_a * _p.even(_m, rho))
 
-            comp = DeformationComponent(m, even=_radial_closure(even_fn))
+            comp = DeformationComponent(m, even=even_fn)
         else:
             vals = amp * profiles.odd(m, rho_check)
             _check_j1_range(vals, m, rho_check, "odd component")
@@ -230,7 +225,7 @@ def plan_serial(
             def odd_fn(rho, _p=profiles, _a=amp, _m=m):
                 return inverse_j1(_a * _p.odd(_m, rho))
 
-            comp = DeformationComponent(m, odd=_radial_closure(odd_fn))
+            comp = DeformationComponent(m, odd=odd_fn)
         segments.append(
             PulseSegment(
                 deformation=MirrorDeformation((comp,)),
@@ -282,23 +277,20 @@ def plan_parallel(
         even_fn = odd_fn = None
         if m == 0:
 
-            def zero_fn(rho, _p=profiles, _a=amp):
+            def even_fn(rho, _p=profiles, _a=amp):
                 return 0.5 * _a * _p.even(0, rho)
 
-            even_fn = _radial_closure(zero_fn)
         else:
             if has_even:
 
-                def even_body(rho, _p=profiles, _a=amp, _m=m):
+                def even_fn(rho, _p=profiles, _a=amp, _m=m):
                     return _a * _p.even(_m, rho)
 
-                even_fn = _radial_closure(even_body)
             if has_odd:
 
-                def odd_body(rho, _p=profiles, _a=amp, _m=m):
+                def odd_fn(rho, _p=profiles, _a=amp, _m=m):
                     return _a * _p.odd(_m, rho)
 
-                odd_fn = _radial_closure(odd_body)
         comps.append(DeformationComponent(m, even=even_fn, odd=odd_fn))
         comb.append(m)
     if not comps:

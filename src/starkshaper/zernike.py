@@ -223,14 +223,6 @@ def _project(pattern: TargetPattern, n_max: int, m_max: int, quad: DiskQuadratur
     return coeffs
 
 
-def radial_profiles(exp: ZernikeExpansion) -> RadialProfileSet:
-    return exp.radial_profiles()
-
-
-def reconstruct(exp: ZernikeExpansion, rho, phi):
-    return exp.reconstruct(rho, phi)
-
-
 @dataclass(frozen=True, eq=False)
 class ErrorMap:
     """Truncation error |F - F_tilde| normalized by the pattern peak, on a

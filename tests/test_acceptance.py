@@ -6,7 +6,6 @@ run.  Thresholds here are the contract -- they are asserted at their
 stated tolerances, never loosened to match this implementation.
 """
 
-import os
 
 import numpy as np
 import pytest
@@ -35,7 +34,6 @@ from starkshaper.zernike import decompose, disk_inner_product
 U0 = 2 * np.pi * 1.0e4
 OMEGA = 2 * np.pi * 1.8e5
 PERIOD = 2 * np.pi / OMEGA
-THREADS = min(4, os.cpu_count() or 1)
 
 
 def check(criterion, label, passed, detail=""):
@@ -52,7 +50,7 @@ def crystal91():
 def reports(crystal91):
     """All ten reference scenario runs, keyed like the registry."""
     return {
-        key: an.run_scenario(*key, crystal=crystal91, threads=THREADS)
+        key: an.run_scenario(*key, crystal=crystal91)
         for key in an.SCENARIOS
     }
 

@@ -1,11 +1,16 @@
 """Configuration ingestion and the command-line surface."""
 
+import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from starkshaper import analysis
 from starkshaper.cli import main
 from starkshaper.config import config_from_dict, load_config
 from starkshaper.errors import ConfigError
@@ -154,7 +159,7 @@ class TestCliPipeline:
 
         res = runner.invoke(main, [
             "simulate", "--config", cfg, "--schedule", f"{out}/schedule.json",
-            "--out", out, "--threads", "2",
+            "--out", out,
         ])
         assert res.exit_code == 0, res.output
         report = json.loads((tmp_path / "art" / "report.json").read_text())
@@ -212,9 +217,48 @@ rwa_study: {omega_hz: [180.0e3], sample_count: 60}
         res = runner.invoke(main, ["rwa-study", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code != 0
 
+    def test_readme_quick_start_runs_as_written(self, runner, tmp_path, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        quick = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+        config = re.search(r"```yaml\n# (\S+)\n(.*?)```", quick, re.S)
+        assert config, "quick start has no yaml config block"
+        commands = [
+            shlex.split(line, comments=True)
+            for line in re.search(r"```sh\n(.*?)```", quick, re.S)[1].splitlines()
+            if line.startswith("starkshaper ")
+        ]
+        assert [c[1] for c in commands] == ["decompose", "plan", "simulate"]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / config[1]).write_text(config[2])
+        for command in commands:
+            res = runner.invoke(main, command[1:])
+            assert res.exit_code == 0, f"{shlex.join(command)}: {res.output}"
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["max_infidelity"] < 1e-2
+
+    def test_reproduce_all_runs_each_scenario_once(self, runner, tmp_path, monkeypatch):
+        annulus_only = {k: v for k, v in analysis.SCENARIOS.items() if k[0] == "annulus"}
+        assert len(annulus_only) == 2
+        monkeypatch.setattr(analysis, "SCENARIOS", annulus_only)
+        res = runner.invoke(main, ["reproduce", "all", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert res.output.count("[pass]") == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "annulus_serial_0.001", "annulus_serial_0.01",
+        ]
+        for sub in tmp_path.iterdir():
+            assert (sub / "report.json").exists()
+
+    def test_reproduce_all_exits_3_on_a_missed_threshold(self, runner, tmp_path, monkeypatch):
+        key = ("annulus", "serial", 1e-2)
+        strict = dataclasses.replace(analysis.SCENARIOS[key], threshold=1e-9)
+        monkeypatch.setattr(analysis, "SCENARIOS", {key: strict})
+        res = runner.invoke(main, ["reproduce", "all", "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        assert "[FAIL]" in res.output
+
     def test_reproduce_runs_a_figure(self, runner, tmp_path):
-        res = runner.invoke(main, ["reproduce", "fig4", "--out", str(tmp_path),
-                                   "--threads", "2"])
+        res = runner.invoke(main, ["reproduce", "fig4", "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
         assert "pass" in res.output
         assert (tmp_path / "annulus_serial_0.01" / "report.json").exists()
@@ -261,3 +305,12 @@ mode: serial
     def test_unknown_figure_is_exit_2(self, runner, tmp_path):
         res = runner.invoke(main, ["reproduce", "fig99", "--out", str(tmp_path)])
         assert res.exit_code == 2
+        assert "'all'" in res.output
+
+    def test_config_setting_threads_is_exit_2(self, runner, tmp_path):
+        cfg = write_yaml(tmp_path / "threads.yaml", SMALL_ANNULUS_YAML + """
+simulation: {tolerance: 1.0e-12, threads: 4}
+""")
+        res = runner.invoke(main, ["decompose", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "threads" in res.output

@@ -2,12 +2,14 @@
 Bloch-vector conventions, and artifact export."""
 
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
+from starkshaper import dynamics
 from starkshaper.crystal import generate_hex_crystal
 from starkshaper.dynamics import (
     EvolutionResult,
@@ -20,13 +22,13 @@ from starkshaper.dynamics import (
     target_phases_from_expansion,
     write_evolution_csv,
 )
+from starkshaper.errors import QuadratureError
 from starkshaper.patterns import annulus
 from starkshaper.planner import (
     DeformationComponent,
     MirrorDeformation,
     PulseSchedule,
     PulseSegment,
-    plan_serial,
 )
 from starkshaper.specfun import bessel_j
 from starkshaper.zernike import decompose
@@ -162,6 +164,11 @@ class TestQuadratureVsSeries:
         amplitude=st.floats(min_value=0.05, max_value=0.5),
         duration_us=st.floats(min_value=10.0, max_value=500.0),
     )
+    # whole-rotation remainder cases: no whole rotation (r = 0), and
+    # remainders of +0.3 and -0.3 periods after 18 and 19 rotations
+    @example(m=2, amplitude=0.3, duration_us=0.4 * PERIOD * 1e6)
+    @example(m=3, amplitude=0.4, duration_us=18.3 * PERIOD * 1e6)
+    @example(m=5, amplitude=0.25, duration_us=18.7 * PERIOD * 1e6)
     def test_agreement_on_random_single_order_segments(self, m, amplitude, duration_us):
         sched = single_order_schedule(m, amplitude, duration_us * 1e-6)
         quad = evolve_exact(CRYSTAL, sched, tol=1e-12)
@@ -210,6 +217,25 @@ class TestQuadratureVsSeries:
         sched = single_order_schedule(1, 0.1, 20e-6)
         with pytest.raises(ValueError):
             evolve_exact(CRYSTAL, sched, tol=1e-14)
+
+    def test_unconverged_quadrature_reports_its_numbers(self, monkeypatch):
+        # 2 vs 4 nodes per panel cannot certify 1e-12, so the error fires
+        monkeypatch.setattr(dynamics, "_BASE_NODES", 2)
+        monkeypatch.setattr(dynamics, "_MAX_NODES", 4)
+        sched = single_order_schedule(3, 0.4, 18.3 * PERIOD)
+        with pytest.raises(QuadratureError) as info:
+            evolve_exact(CRYSTAL, sched, tol=1e-12)
+        message = str(info.value)
+        # three panels per period plus one for the 0.3-period remainder
+        assert "4 nodes per panel (4 panels" in message
+        assert "r = 18 rotations" in message and "tau/P = +0.300000" in message
+        match = re.search(
+            r"ion (\d+) has \|fine - coarse\| = (\S+) against an allowance of (\S+)$",
+            message,
+        )
+        assert match, message
+        assert 0 <= int(match[1]) < len(CRYSTAL)
+        assert float(match[2]) > float(match[3]) > 0
 
 
 class TestRwaLimits:
@@ -291,14 +317,6 @@ class TestComposition:
             evolve_exact(CRYSTAL, single_order_schedule(3, 0.2, 35e-6), tol=1e-12),
         ]
         assert np.max(np.abs(total.theta - parts[0].theta - parts[1].theta)) < 1e-11
-
-    def test_threads_do_not_change_results(self):
-        pat = annulus(1.0)
-        exp = decompose(pat, 18, 0)
-        sched = plan_serial(exp, U0, OMEGA, pattern_peak=pat.peak_value())
-        one = evolve_exact(CRYSTAL, sched, tol=1e-12, threads=1)
-        four = evolve_exact(CRYSTAL, sched, tol=1e-12, threads=4)
-        assert np.array_equal(one.theta, four.theta)
 
     def test_metadata_records_method_and_hash(self):
         sched = single_order_schedule(2, 0.2, 30e-6)
