@@ -42,6 +42,7 @@ from .planner import (
     MirrorDeformation,
     PulseSchedule,
     PulseSegment,
+    RadialProfile,
     plan_parallel,
     plan_serial,
     save_schedule,
@@ -228,8 +229,7 @@ def rwa_study(
         raise ConfigError(f"study window must be positive, got {t_max_s}")
 
     times = np.linspace(0.0, t_max_s, sample_count)
-    profile = lambda rho: amplitude * np.ones_like(np.asarray(rho, dtype=float))
-    deformation = MirrorDeformation((DeformationComponent(m, even=profile),))
+    deformation = MirrorDeformation((DeformationComponent(m, even=RadialProfile(0, (amplitude,))),))
 
     out = []
     for omega in omegas:
@@ -332,13 +332,11 @@ def worst_case_parallel_pair(
     if amp2 < 0:
         raise ConfigError(f"second amplitude must be >= 0, got {amp2}")
 
-    def _monomial(scale: float, power: int):
-        return lambda rho: scale * np.asarray(rho, dtype=float) ** power
-
-    components = [DeformationComponent(m1, even=_monomial(amplitude, m1))]
+    # rho^p is the Zernike radial polynomial R_p^p
+    components = [DeformationComponent(m1, even=RadialProfile(m1, (amplitude,)))]
     beatnotes = (m1,)
     if amp2 > 0:
-        components.append(DeformationComponent(2 * m1, even=_monomial(amp2, 2 * m1)))
+        components.append(DeformationComponent(2 * m1, even=RadialProfile(2 * m1, (amp2,))))
         beatnotes = (m1, 2 * m1)
     deformation = MirrorDeformation(tuple(components))
 

@@ -1,5 +1,5 @@
 """Ion-crystal geometry: hexagonal lattice generation, rotating-frame to
-lab-frame transforms, and the beam-plane mapping for the mirror surface.
+lab-frame transforms, and the crystal CSV interchange.
 
 An IonCrystal stores rotating-frame polar positions (rho_i, phi_i) with the
 disk radius normalized to 1.  The crystal rotates rigidly, so the lab-frame
@@ -116,39 +116,3 @@ def load_crystal_csv(path: str | Path) -> IonCrystal:
     if [r[0] for r in rows] != list(range(len(rows))):
         raise ConfigError(f"{path}: ion indices must be 0..N-1 without gaps")
     return IonCrystal(np.array([r[1] for r in rows]), np.array([r[2] for r in rows]))
-
-
-@dataclass(frozen=True)
-class BeamGeometry:
-    """Beam tilted by angle theta (radians) from the crystal plane's y-axis;
-    the mirror-plane coordinate z_L maps to crystal y = z_L / sin(theta)."""
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta <= np.pi / 2.0:
-            raise ConfigError(f"beam angle must be in (0, pi/2], got {self.theta}")
-
-    def beam_to_crystal(self, x_l, z_l) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(x_l, dtype=float), np.asarray(z_l, dtype=float) / np.sin(self.theta)
-
-    def crystal_to_beam(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(x, dtype=float), np.asarray(y, dtype=float) * np.sin(self.theta)
-
-
-def dm_surface_pattern(deformation, geom: BeamGeometry):
-    """Lift a disk deformation delta(x, y) to the mirror/beam plane.
-
-    Returns f(x_L, z_L) = delta(x_L, z_L / sin theta).  The beam-plane
-    footprint is the unit disk compressed by sin(theta) along z_L;
-    evaluation outside it raises ValueError.
-    """
-
-    def beam_plane(x_l, z_l):
-        x, y = geom.beam_to_crystal(x_l, z_l)
-        r2 = x * x + y * y
-        if np.any(r2 > 1.0 + 1e-9):
-            raise ValueError("requested point lies outside the beam footprint of the disk")
-        return deformation(x, y)
-
-    return beam_plane

@@ -17,6 +17,15 @@ the static transfer passes it at twice the gain of the rotating orders)
 and drives the whole beatnote comb simultaneously.  Accurate to first
 order in the pattern amplitude.
 
+Every radial part delta(rho) is a RadialProfile record,
+transfer(scale * sum_k c_k R^m_{m+2k}(rho)) + offset, built straight from
+the expansion's coefficient arrays: arccos with offset -psi for serial
+m = 0, J1^-1 for serial m > 0, linear in parallel mode.  The record is the
+program: it is what the simulator evaluates, what schedule.json stores and
+what schedule_hash names.  Range checks evaluate only the transfer
+argument on a fixed grid; since every transfer is monotone, the stroke
+extremes are the transfer of the argument's extremes.
+
 Durations are calibrated so the peak-pattern ion rotates by exactly pi:
 T_base = pi / (2 U_eff peak), with U_eff = U (serial) or U/2 (parallel).
 Schedules with rotating content round T up to an integer number of crystal
@@ -29,20 +38,88 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, PrecompensationRangeError
-from .specfun import J1_PEAK_VALUE, J1_PEAK_X, inverse_j1
+from .specfun import J1_PEAK_VALUE, J1_PEAK_X, inverse_j1, zernike_radial_sum
 from .zernike import ZernikeExpansion
 
 DEFAULT_PSI = -np.pi / 2.0
-EXPORT_RHO_POINTS = 512
-_RANGE_CHECK_RHO = 4096
+_CHECK_RHO = np.linspace(0.0, 1.0, 2048)
 _ARCCOS_CLIP_TOLERANCE = 0.05
 _COMPONENT_FLOOR = 1e-12
+# Largest |transfer argument| each transfer accepts.
+_TRANSFER_BOUND = {"linear": np.inf, "j1inv": J1_PEAK_VALUE, "arccos": 1.0 + _ARCCOS_CLIP_TOLERANCE}
+
+
+@dataclass(frozen=True)
+class RadialProfile:
+    """One radial part of a mirror surface:
+
+        transfer(scale * sum_k coeffs[k] R^order_{order+2k}(rho)) + offset
+
+    with transfer `linear` (identity), `j1inv` (inverse_j1) or `arccos`
+    (arccos of the argument clipped to [-1, 1]).  All three are monotone."""
+
+    order: int
+    coeffs: tuple[float, ...]
+    transfer: str = "linear"
+    scale: float = 1.0
+    offset: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "order", int(self.order))
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "offset", float(self.offset))
+        if self.order < 0:
+            raise ConfigError(f"radial order must be >= 0, got {self.order}")
+        if not self.coeffs:
+            raise ConfigError("radial profile has no coefficients")
+        if not np.all(np.isfinite((*self.coeffs, self.scale, self.offset))):
+            raise ConfigError("radial profile coefficients, scale and offset must be finite")
+        if self.transfer not in _TRANSFER_BOUND:
+            raise ConfigError(
+                f"unknown transfer {self.transfer!r}; expected one of {sorted(_TRANSFER_BOUND)}"
+            )
+
+    def argument(self, rho) -> np.ndarray:
+        """scale * the Zernike radial sum at rho."""
+        return self.scale * zernike_radial_sum(self.order, self.coeffs, rho)
+
+    def apply(self, arg) -> np.ndarray:
+        """transfer(arg) + offset."""
+        if self.transfer == "j1inv":
+            out = inverse_j1(arg)
+        elif self.transfer == "arccos":
+            out = np.arccos(np.clip(arg, -1.0, 1.0))
+        else:
+            out = arg
+        return out + self.offset
+
+    def __call__(self, rho) -> np.ndarray:
+        return self.apply(self.argument(rho))
+
+
+def _argument_extremes(part: RadialProfile, label: str) -> tuple[np.ndarray, str | None]:
+    """The extremes of a part's transfer argument on the check grid,
+    clipped into the transfer's domain, and a message carrying the measured
+    value and the bound when the argument leaves that domain.  Because the
+    transfer is monotone, applying it to the extremes gives the part's."""
+    arg = part.argument(_CHECK_RHO)
+    lo, hi = float(np.min(arg)), float(np.max(arg))
+    bound = _TRANSFER_BOUND[part.transfer]
+    reach = max(-lo, hi)
+    problem = None
+    if reach > bound:
+        problem = (
+            f"{label}: |{part.transfer} argument| reaches {reach:.6f} > {bound:.6f} "
+            f"at rho = {_CHECK_RHO[int(np.argmax(np.abs(arg)))]:.4f}"
+        )
+    return np.clip([lo, hi], -bound, bound), problem
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,8 +128,8 @@ class DeformationComponent:
     + odd(rho) * sin(m phi_lab).  Either part may be None."""
 
     m: int
-    even: object | None = None  # callable rho -> radians
-    odd: object | None = None
+    even: RadialProfile | None = None
+    odd: RadialProfile | None = None
 
     def __post_init__(self) -> None:
         if self.m < 0:
@@ -61,17 +138,12 @@ class DeformationComponent:
             raise ConfigError(f"component m={self.m} has neither even nor odd part")
         if self.m == 0 and self.odd is not None:
             raise ConfigError("m=0 has no sin partner")
-
-    def evaluate(self, rho, phi_lab) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        phi_lab = np.asarray(phi_lab, dtype=float)
-        total = 0.0
-        if self.even is not None:
-            e = self.even(rho)
-            total = total + (e * np.cos(self.m * phi_lab) if self.m else e * np.ones_like(phi_lab))
-        if self.odd is not None:
-            total = total + self.odd(rho) * np.sin(self.m * phi_lab)
-        return total
+        for part in (self.even, self.odd):
+            if part is not None and not isinstance(part, RadialProfile):
+                raise ConfigError(
+                    f"component m={self.m}: radial parts must be RadialProfile records, "
+                    f"got {type(part).__name__}"
+                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,13 +154,6 @@ class MirrorDeformation:
         ms = [c.m for c in self.components]
         if len(set(ms)) != len(ms):
             raise ConfigError(f"duplicate azimuthal orders in deformation: {sorted(ms)}")
-
-    def evaluate(self, rho, phi_lab) -> np.ndarray:
-        rho_b, phi_b = np.broadcast_arrays(np.asarray(rho, float), np.asarray(phi_lab, float))
-        total = np.zeros(rho_b.shape)
-        for comp in self.components:
-            total = total + comp.evaluate(rho_b, phi_b)
-        return total
 
     def orders(self) -> tuple[int, ...]:
         return tuple(sorted(c.m for c in self.components))
@@ -145,16 +210,6 @@ class PulseSchedule:
         return self.total_duration_s + self.dm_reset_time_s * max(0, len(self.segments) - 1)
 
 
-def _check_j1_range(values: np.ndarray, m: int, rho: np.ndarray, part: str) -> None:
-    worst = int(np.argmax(np.abs(values)))
-    if abs(values[worst]) > J1_PEAK_VALUE:
-        raise PrecompensationRangeError(
-            f"precompensation out of range for {part} m={m}: |A*profile| = "
-            f"{abs(values[worst]):.6f} > max J1 = {J1_PEAK_VALUE:.6f} at rho = {rho[worst]:.4f}; "
-            "reduce the pattern amplitude"
-        )
-
-
 def plan_serial(
     exp: ZernikeExpansion,
     u_rad_s: float,
@@ -174,75 +229,44 @@ def plan_serial(
     if u_rad_s <= 0 or omega_rad_s <= 0:
         raise ConfigError("U and omega must be positive")
     profiles = exp.radial_profiles()
-    amp = exp.amplitude
     peak = _resolve_peak(profiles, pattern_peak)
 
-    rho_check = np.linspace(0.0, 1.0, _RANGE_CHECK_RHO)
-    segments_spec: list[tuple[int, str]] = []
-    for m in profiles.active_orders(floor=_COMPONENT_FLOOR):
-        even_vals = amp * profiles.even(m, rho_check)
-        odd_vals = amp * profiles.odd(m, rho_check)
-        if np.max(np.abs(even_vals)) > _COMPONENT_FLOOR:
-            segments_spec.append((m, "even"))
-        if m > 0 and np.max(np.abs(odd_vals)) > _COMPONENT_FLOOR:
-            segments_spec.append((m, "odd"))
-    if not segments_spec:
-        raise ConfigError("expansion has no components above threshold; nothing to plan")
+    parts = []
+    for m, parity, coeffs in _planned_parts(exp, profiles):
+        if m == 0:  # cos(delta + psi) = A P0
+            part = RadialProfile(0, coeffs, "arccos", exp.amplitude, -psi)
+        else:  # J1(delta) = A Pm (or A Qm)
+            part = RadialProfile(m, coeffs, "j1inv", exp.amplitude)
+        _, problem = _argument_extremes(part, f"{parity} component m={m}")
+        if problem:
+            raise PrecompensationRangeError(
+                f"precompensation out of range for {problem}; reduce the pattern amplitude"
+            )
+        parts.append((m, parity, part))
 
-    rotating = any(m > 0 for m, _ in segments_spec)
+    rotating = any(m > 0 for m, _, _ in parts)
     t_base = np.pi / (2.0 * u_rad_s * peak)
     t_seg, u_seg, rotations = _commensurate(
         t_base, u_rad_s, omega_rad_s, segment_rotations, force=rotating
     )
-
-    segments = []
-    for m, part in segments_spec:
-        if m == 0:
-            arg = amp * profiles.even(0, rho_check)
-            overshoot = np.max(np.abs(arg)) - 1.0
-            if overshoot > _ARCCOS_CLIP_TOLERANCE:
-                raise PrecompensationRangeError(
-                    f"arccos domain violated for m=0: |A*P0| reaches {np.max(np.abs(arg)):.4f} "
-                    f"(> 1 + {_ARCCOS_CLIP_TOLERANCE}); reduce the pattern amplitude"
-                )
-
-            def arccos_fn(rho, _p=profiles, _a=amp, _psi=psi):
-                return np.arccos(np.clip(_a * _p.even(0, rho), -1.0, 1.0)) - _psi
-
-            comp = DeformationComponent(0, even=arccos_fn)
-        elif part == "even":
-            vals = amp * profiles.even(m, rho_check)
-            _check_j1_range(vals, m, rho_check, "even component")
-
-            def even_fn(rho, _p=profiles, _a=amp, _m=m):
-                return inverse_j1(_a * _p.even(_m, rho))
-
-            comp = DeformationComponent(m, even=even_fn)
-        else:
-            vals = amp * profiles.odd(m, rho_check)
-            _check_j1_range(vals, m, rho_check, "odd component")
-
-            def odd_fn(rho, _p=profiles, _a=amp, _m=m):
-                return inverse_j1(_a * _p.odd(_m, rho))
-
-            comp = DeformationComponent(m, odd=odd_fn)
-        segments.append(
-            PulseSegment(
-                deformation=MirrorDeformation((comp,)),
-                beatnotes=(m,),
-                duration_s=t_seg,
-                u_rad_s=u_seg,
-                psi=psi,
-            )
+    segments = tuple(
+        PulseSegment(
+            deformation=MirrorDeformation((DeformationComponent(m, **{parity: part}),)),
+            beatnotes=(m,),
+            duration_s=t_seg,
+            u_rad_s=u_seg,
+            psi=psi,
         )
+        for m, parity, part in parts
+    )
 
     return PulseSchedule(
         mode="serial",
         omega_rad_s=omega_rad_s,
-        segments=tuple(segments),
+        segments=segments,
         target_u_rad_s=u_seg,
         gate_time_s=t_seg,
-        amplitude=amp,
+        amplitude=exp.amplitude,
         dm_reset_time_s=dm_reset_time_s,
     )
 
@@ -265,36 +289,13 @@ def plan_parallel(
     if u_rad_s <= 0 or omega_rad_s <= 0:
         raise ConfigError("U and omega must be positive")
     profiles = exp.radial_profiles()
-    amp = exp.amplitude
     peak = _resolve_peak(profiles, pattern_peak)
 
-    rho_check = np.linspace(0.0, 1.0, _RANGE_CHECK_RHO)
-    comps = []
-    comb = []
-    for m in profiles.active_orders(floor=_COMPONENT_FLOOR):
-        has_even = np.max(np.abs(profiles.even(m, rho_check))) > _COMPONENT_FLOOR
-        has_odd = m > 0 and np.max(np.abs(profiles.odd(m, rho_check))) > _COMPONENT_FLOOR
-        even_fn = odd_fn = None
-        if m == 0:
-
-            def even_fn(rho, _p=profiles, _a=amp):
-                return 0.5 * _a * _p.even(0, rho)
-
-        else:
-            if has_even:
-
-                def even_fn(rho, _p=profiles, _a=amp, _m=m):
-                    return _a * _p.even(_m, rho)
-
-            if has_odd:
-
-                def odd_fn(rho, _p=profiles, _a=amp, _m=m):
-                    return _a * _p.odd(_m, rho)
-
-        comps.append(DeformationComponent(m, even=even_fn, odd=odd_fn))
-        comb.append(m)
-    if not comps:
-        raise ConfigError("expansion has no components above threshold; nothing to plan")
+    by_order: dict[int, dict[str, RadialProfile]] = {}
+    for m, parity, coeffs in _planned_parts(exp, profiles):
+        scale = 0.5 * exp.amplitude if m == 0 else exp.amplitude
+        by_order.setdefault(m, {})[parity] = RadialProfile(m, coeffs, "linear", scale)
+    comb = tuple(by_order)
 
     t_base = np.pi / (u_rad_s * peak)  # U_eff = U/2
     t_run, u_run, rotations = _commensurate(
@@ -302,8 +303,10 @@ def plan_parallel(
     )
 
     segment = PulseSegment(
-        deformation=MirrorDeformation(tuple(comps)),
-        beatnotes=tuple(comb),
+        deformation=MirrorDeformation(
+            tuple(DeformationComponent(m, **parts) for m, parts in by_order.items())
+        ),
+        beatnotes=comb,
         duration_s=t_run,
         u_rad_s=u_run,
         psi=psi,
@@ -314,9 +317,25 @@ def plan_parallel(
         segments=(segment,),
         target_u_rad_s=0.5 * u_run,
         gate_time_s=t_run,
-        amplitude=amp,
+        amplitude=exp.amplitude,
         dm_reset_time_s=0.0,
     )
+
+
+def _planned_parts(exp: ZernikeExpansion, profiles) -> list[tuple[int, str, np.ndarray]]:
+    """(m, parity, coefficients) of every radial part whose amplitude-scaled
+    profile exceeds the component floor on the check grid; m ascending,
+    even before odd."""
+    parts = []
+    for m in profiles.active_orders(floor=_COMPONENT_FLOOR):
+        for parity, table in (("even", profiles.cos), ("odd", profiles.sin)):
+            if m in table:
+                vals = exp.amplitude * zernike_radial_sum(m, table[m], _CHECK_RHO)
+                if np.max(np.abs(vals)) > _COMPONENT_FLOOR:
+                    parts.append((m, parity, table[m]))
+    if not parts:
+        raise ConfigError("expansion has no components above threshold; nothing to plan")
+    return parts
 
 
 def _resolve_peak(profiles, pattern_peak: float | None) -> float:
@@ -360,7 +379,6 @@ def validate_schedule(schedule: PulseSchedule, omega_rad_s: float | None = None)
     omega = schedule.omega_rad_s if omega_rad_s is None else omega_rad_s
     warnings: list[str] = []
     period = 2.0 * np.pi / omega
-    rho = np.linspace(0.0, 1.0, 2048)
 
     seg_metrics = []
     for i, seg in enumerate(schedule.segments):
@@ -373,10 +391,13 @@ def validate_schedule(schedule: PulseSchedule, omega_rad_s: float | None = None)
             for part_name, part in (("even", comp.even), ("odd", comp.odd)):
                 if part is None:
                     continue
-                vals = np.abs(part(rho))
-                max_stroke = max(max_stroke, float(np.max(vals)))
+                ends, problem = _argument_extremes(part, f"segment {i}: {part_name} m={comp.m}")
+                if problem:
+                    warnings.append(problem)
+                stroke = float(np.max(np.abs(part.apply(ends))))
+                max_stroke = max(max_stroke, stroke)
                 if schedule.mode == "serial" and comp.m > 0:
-                    margin = J1_PEAK_X - float(np.max(vals))
+                    margin = J1_PEAK_X - stroke
                     j1_margin = margin if j1_margin is None else min(j1_margin, margin)
                     if margin < -1e-9:
                         warnings.append(
@@ -437,25 +458,34 @@ def validate_schedule(schedule: PulseSchedule, omega_rad_s: float | None = None)
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange: the "compiled program".  Radial functions travel as
-# samples on a fixed rho grid; import rebuilds them by linear interpolation
-# (exact at the nodes, which is what the round-trip property checks).
+# JSON interchange: the compiled program itself.  Format 2 stores each
+# radial part as its RadialProfile fields (order, Zernike radial
+# coefficients, transfer, scale, offset); json writes floats in their
+# shortest round-trip form, so import rebuilds the very records that were
+# exported, and schedule_hash hashes the same dict.  Export, hash and
+# simulation therefore see one program.  Files without "format": 2 (the
+# earlier sampled form) are refused.
+
+SCHEDULE_FORMAT = 2
 
 
-def _sample(fn, rho_grid: np.ndarray) -> list[float]:
-    return [float(v) for v in np.asarray(fn(rho_grid), dtype=float)]
+def _part_to_json(part: RadialProfile | None) -> dict | None:
+    return None if part is None else asdict(part)
+
+
+def _part_from_json(record: dict | None) -> RadialProfile | None:
+    return None if record is None else RadialProfile(**record)
 
 
 def schedule_to_json_dict(schedule: PulseSchedule) -> dict:
-    rho_grid = np.linspace(0.0, 1.0, EXPORT_RHO_POINTS)
     return {
+        "format": SCHEDULE_FORMAT,
         "mode": schedule.mode,
         "omega_rad_s": schedule.omega_rad_s,
         "target_u_rad_s": schedule.target_u_rad_s,
         "gate_time_s": schedule.gate_time_s,
         "amplitude": schedule.amplitude,
         "dm_reset_time_s": schedule.dm_reset_time_s,
-        "rho_grid": [float(r) for r in rho_grid],
         "segments": [
             {
                 "duration_s": seg.duration_s,
@@ -463,11 +493,7 @@ def schedule_to_json_dict(schedule: PulseSchedule) -> dict:
                 "psi": seg.psi,
                 "beatnotes": list(seg.beatnotes),
                 "components": [
-                    {
-                        "m": comp.m,
-                        "even": None if comp.even is None else _sample(comp.even, rho_grid),
-                        "odd": None if comp.odd is None else _sample(comp.odd, rho_grid),
-                    }
+                    {"m": comp.m, "even": _part_to_json(comp.even), "odd": _part_to_json(comp.odd)}
                     for comp in seg.deformation.components
                 ],
             }
@@ -476,33 +502,25 @@ def schedule_to_json_dict(schedule: PulseSchedule) -> dict:
     }
 
 
-class _InterpolatedRadial:
-    """Radial function rebuilt from exported samples."""
-
-    def __init__(self, rho_grid: np.ndarray, samples: np.ndarray):
-        self.rho_grid = rho_grid
-        self.samples = samples
-
-    def __call__(self, rho):
-        return np.interp(np.asarray(rho, dtype=float), self.rho_grid, self.samples)
-
-
 def schedule_from_json_dict(payload: dict) -> PulseSchedule:
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != SCHEDULE_FORMAT:
+        raise ConfigError(
+            f"schedule JSON has format {found!r}, expected {SCHEDULE_FORMAT} "
+            "(Zernike radial records); re-run `starkshaper plan` to regenerate it"
+        )
     try:
-        rho_grid = np.asarray(payload["rho_grid"], dtype=float)
         segments = []
         for seg in payload["segments"]:
-            comps = []
-            for c in seg["components"]:
-                even = odd = None
-                if c.get("even") is not None:
-                    even = _InterpolatedRadial(rho_grid, np.asarray(c["even"], dtype=float))
-                if c.get("odd") is not None:
-                    odd = _InterpolatedRadial(rho_grid, np.asarray(c["odd"], dtype=float))
-                comps.append(DeformationComponent(int(c["m"]), even=even, odd=odd))
+            comps = tuple(
+                DeformationComponent(
+                    int(c["m"]), even=_part_from_json(c.get("even")), odd=_part_from_json(c.get("odd"))
+                )
+                for c in seg["components"]
+            )
             segments.append(
                 PulseSegment(
-                    deformation=MirrorDeformation(tuple(comps)),
+                    deformation=MirrorDeformation(comps),
                     beatnotes=tuple(int(b) for b in seg["beatnotes"]),
                     duration_s=float(seg["duration_s"]),
                     u_rad_s=float(seg["u_rad_s"]),
@@ -535,6 +553,7 @@ def load_schedule(path: str | Path) -> PulseSchedule:
 
 
 def schedule_hash(schedule: PulseSchedule) -> str:
-    """Stable content hash of the exported form (provenance for results)."""
+    """SHA-256 of the exported dict, i.e. of the exact program (provenance
+    for results)."""
     canonical = json.dumps(schedule_to_json_dict(schedule), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -208,6 +208,15 @@ def zernike_radial_stack(m: int, k_max: int, rho) -> np.ndarray:
     return out
 
 
+def zernike_radial_sum(m: int, coeffs, rho) -> np.ndarray:
+    """sum_k coeffs[k] R_{m+2k}^m(rho), shaped like rho."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    if not coeffs.size or not np.any(coeffs):
+        return np.zeros_like(rho)
+    return np.tensordot(coeffs, zernike_radial_stack(m, coeffs.size - 1, rho), axes=(0, 0))
+
+
 def zernike_radial(n: int, m: int, rho) -> np.ndarray | float:
     """Radial polynomial R_n^m(rho) for a valid (n, m) pair."""
     m_abs = abs(m)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import QuadratureError
 from .patterns import TargetPattern
-from .specfun import ZernikeIndex, zernike_radial_stack
+from .specfun import ZernikeIndex, zernike_radial_stack, zernike_radial_sum
 
 COEFFICIENT_EXPORT_FLOOR = 1e-12
 
@@ -102,8 +102,8 @@ class RadialProfileSet:
         self.amplitude = amplitude
         self.n_max = n_max
         self.m_max = m_max
-        self._cos = cos_coeffs  # m -> array over k of alpha_{m+2k, m}
-        self._sin = sin_coeffs  # m -> array over k of alpha_{m+2k, -m}
+        self.cos = cos_coeffs  # m -> array over k of alpha_{m+2k, m}
+        self.sin = sin_coeffs  # m -> array over k of alpha_{m+2k, -m}
 
     @classmethod
     def from_expansion(cls, exp: ZernikeExpansion) -> "RadialProfileSet":
@@ -119,26 +119,18 @@ class RadialProfileSet:
 
     def even(self, m: int, rho) -> np.ndarray:
         """P^m at rho (coefficient of cos(m phi) in F-tilde / A)."""
-        return self._sum(self._cos, m, rho)
+        return zernike_radial_sum(m, self.cos.get(m, ()), rho)
 
     def odd(self, m: int, rho) -> np.ndarray:
         """Q^m at rho (coefficient of sin(m phi)); identically 0 for m = 0."""
-        return self._sum(self._sin, m, rho)
-
-    def _sum(self, table, m: int, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        coeffs = table.get(m)
-        if coeffs is None or not coeffs.size or not np.any(coeffs):
-            return np.zeros_like(rho)
-        stack = zernike_radial_stack(m, coeffs.size - 1, rho)
-        return np.tensordot(coeffs, stack, axes=(0, 0))
+        return zernike_radial_sum(m, self.sin.get(m, ()), rho)
 
     def active_orders(self, floor: float = 0.0) -> list[int]:
         """Azimuthal orders with any coefficient above `floor`."""
         out = []
         for m in range(self.m_max + 1):
-            c = self._cos.get(m)
-            s = self._sin.get(m)
+            c = self.cos.get(m)
+            s = self.sin.get(m)
             big_c = c is not None and c.size and np.max(np.abs(c)) > floor
             big_s = s is not None and s.size and np.max(np.abs(s)) > floor
             if big_c or big_s:
@@ -146,17 +138,19 @@ class RadialProfileSet:
         return out
 
     def reconstruct(self, rho, phi) -> np.ndarray | float:
-        rho_b, phi_b = np.broadcast_arrays(np.asarray(rho, float), np.asarray(phi, float))
-        total = np.zeros(rho_b.shape)
+        """A * sum over m of P^m cos(m phi) + Q^m sin(m phi); the radial sums
+        are evaluated on rho's own shape and broadcast against phi only in
+        the products."""
+        rho = np.asarray(rho, float)
+        phi = np.asarray(phi, float)
+        total = np.zeros(np.broadcast_shapes(rho.shape, phi.shape))
         for m in range(self.m_max + 1):
-            p = self._sum(self._cos, m, rho_b)
-            q = self._sum(self._sin, m, rho_b)
             if m == 0:
-                total += p
+                total += self.even(0, rho)
             else:
-                total += p * np.cos(m * phi_b) + q * np.sin(m * phi_b)
+                total += self.even(m, rho) * np.cos(m * phi) + self.odd(m, rho) * np.sin(m * phi)
         total *= self.amplitude
-        if np.ndim(rho) == 0 and np.ndim(phi) == 0:
+        if total.ndim == 0:
             return float(total)
         return total
 

@@ -26,6 +26,7 @@ from starkshaper.planner import (
     MirrorDeformation,
     PulseSchedule,
     PulseSegment,
+    RadialProfile,
     plan_serial,
 )
 from starkshaper.specfun import ZernikeIndex, bessel_j, zernike_eval
@@ -253,7 +254,7 @@ class TestCriterion9Properties:
         assert ortho and rt
 
     def test_phase_oracle_agreement(self, crystal91):
-        comp = DeformationComponent(3, even=lambda r: 0.3 * np.asarray(r, float) ** 3)
+        comp = DeformationComponent(3, even=RadialProfile(3, (0.3,)))
         seg = PulseSegment(deformation=MirrorDeformation((comp,)), beatnotes=(3,),
                            duration_s=47.7e-6, u_rad_s=U0, psi=-np.pi / 2)
         sched = PulseSchedule(mode="serial", omega_rad_s=OMEGA, segments=(seg,),
@@ -276,8 +277,8 @@ class TestCriterion9Properties:
                 amp_o = float(rng.uniform(0.05, 0.3))
                 comps.append(DeformationComponent(
                     m,
-                    even=(lambda a, p: lambda r: a * np.asarray(r, float) ** p)(amp_e, m),
-                    odd=(lambda a, p: lambda r: a * np.asarray(r, float) ** p)(amp_o, m),
+                    even=RadialProfile(m, (amp_e,)),
+                    odd=RadialProfile(m, (amp_o,)),
                 ))
             duration = int(rng.integers(5, 20)) * PERIOD
             seg = PulseSegment(deformation=MirrorDeformation(tuple(comps)),

@@ -16,6 +16,7 @@ from starkshaper.planner import (
     MirrorDeformation,
     PulseSchedule,
     PulseSegment,
+    RadialProfile,
 )
 from starkshaper.specfun import bessel_j
 
@@ -159,7 +160,7 @@ class TestWorstCasePair:
     def test_single_order_reduction(self):
         study = an.worst_case_parallel_pair(3, 0.1, U0, OMEGA, SMALL_CRYSTAL,
                                             second_amplitude=0.0)
-        comp = DeformationComponent(3, even=lambda r: 0.1 * np.asarray(r, float) ** 3)
+        comp = DeformationComponent(3, even=RadialProfile(3, (0.1,)))
         seg = PulseSegment(
             deformation=MirrorDeformation((comp,)), beatnotes=(3,),
             duration_s=study.t_total_s, u_rad_s=U0, psi=-np.pi / 2,

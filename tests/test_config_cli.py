@@ -14,7 +14,16 @@ from starkshaper import analysis
 from starkshaper.cli import main
 from starkshaper.config import config_from_dict, load_config
 from starkshaper.errors import ConfigError
-from starkshaper.planner import load_schedule
+from starkshaper.planner import (
+    DeformationComponent,
+    MirrorDeformation,
+    PulseSchedule,
+    PulseSegment,
+    RadialProfile,
+    load_schedule,
+    schedule_to_json_dict,
+)
+from starkshaper.specfun import J1_PEAK_VALUE
 
 BASE = {
     "pattern": {"kind": "annulus", "amplitude": 1.0},
@@ -314,3 +323,43 @@ simulation: {tolerance: 1.0e-12, threads: 4}
         res = runner.invoke(main, ["decompose", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert "threads" in res.output
+
+    def test_sampled_format_1_schedule_is_exit_2(self, runner, tmp_path):
+        cfg = write_yaml(tmp_path / "run.yaml", SMALL_ANNULUS_YAML)
+        omega = 2 * np.pi * 1.8e5
+        legacy = {
+            "mode": "serial", "omega_rad_s": omega, "target_u_rad_s": 2 * np.pi * 1.0e4,
+            "gate_time_s": 25e-6, "amplitude": 1.0, "dm_reset_time_s": 0.0,
+            "rho_grid": [0.0, 0.5, 1.0],
+            "segments": [{
+                "duration_s": 25e-6, "u_rad_s": 2 * np.pi * 1.0e4, "psi": -np.pi / 2,
+                "beatnotes": [0], "components": [{"m": 0, "even": [1.0, 1.0, 1.0], "odd": None}],
+            }],
+        }
+        (tmp_path / "schedule.json").write_text(json.dumps(legacy))
+        res = runner.invoke(main, [
+            "simulate", "--config", cfg, "--schedule", str(tmp_path / "schedule.json"),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 2
+        assert "re-run `starkshaper plan`" in res.output
+
+    def test_imported_j1inv_record_beyond_j1_max_is_exit_2(self, runner, tmp_path):
+        cfg = write_yaml(tmp_path / "run.yaml", SMALL_ANNULUS_YAML)
+        omega = 2 * np.pi * 1.8e5
+        part = RadialProfile(2, (1.0,), "j1inv", 0.7)  # |scale * R_2^2| reaches 0.7 at the rim
+        seg = PulseSegment(
+            deformation=MirrorDeformation((DeformationComponent(2, even=part),)),
+            beatnotes=(2,), duration_s=3 * 2 * np.pi / omega, u_rad_s=1e4, psi=-np.pi / 2,
+        )
+        sched = PulseSchedule(
+            mode="serial", omega_rad_s=omega, segments=(seg,),
+            target_u_rad_s=1e4, gate_time_s=seg.duration_s, amplitude=0.7,
+        )
+        (tmp_path / "schedule.json").write_text(json.dumps(schedule_to_json_dict(sched)))
+        res = runner.invoke(main, [
+            "simulate", "--config", cfg, "--schedule", str(tmp_path / "schedule.json"),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 2
+        assert "0.700000" in res.output and f"{J1_PEAK_VALUE:.6f}" in res.output

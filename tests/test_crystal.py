@@ -1,12 +1,10 @@
-"""Hexagonal crystal generation, frames, and the beam-projection geometry."""
+"""Hexagonal crystal generation, frames, and the CSV interchange."""
 
 import numpy as np
 import pytest
 
 from starkshaper.crystal import (
-    BeamGeometry,
     IonCrystal,
-    dm_surface_pattern,
     generate_hex_crystal,
     load_crystal_csv,
     save_crystal_csv,
@@ -98,38 +96,3 @@ class TestValidationAndCsv:
         path.write_text("a,b,c\n0,0.1,0.2\n")
         with pytest.raises(Exception):
             load_crystal_csv(path)
-
-
-class TestBeamGeometry:
-    def test_normal_incidence_is_identity(self):
-        g = BeamGeometry(theta=np.pi / 2)
-        x, z = g.crystal_to_beam(np.array([0.3]), np.array([0.4]))
-        assert x[0] == pytest.approx(0.3)
-        assert z[0] == pytest.approx(0.4)
-
-    def test_oblique_projection_stretch(self):
-        # 30 degrees: the beam's vertical axis is foreshortened by sin(theta)
-        g = BeamGeometry(theta=np.pi / 6)
-        x, y = g.beam_to_crystal(np.array([0.1]), np.array([0.25]))
-        assert y[0] == pytest.approx(0.5)
-        assert x[0] == pytest.approx(0.1)
-
-    def test_round_trip(self):
-        g = BeamGeometry(theta=1.1)
-        x0, y0 = np.array([0.2, -0.4]), np.array([0.5, 0.1])
-        xb, zb = g.crystal_to_beam(x0, y0)
-        x1, y1 = g.beam_to_crystal(xb, zb)
-        np.testing.assert_allclose(x1, x0, atol=1e-15)
-        np.testing.assert_allclose(y1, y0, atol=1e-15)
-
-    def test_dm_pattern_projects_deformation(self):
-        g = BeamGeometry(theta=np.pi / 6)
-        beam = dm_surface_pattern(lambda x, y: x + 2 * y, g)
-        # beam coordinate (0.1, 0.2) maps to crystal (0.1, 0.4)
-        assert beam(np.array([0.1]), np.array([0.2]))[0] == pytest.approx(0.1 + 0.8)
-
-    def test_dm_pattern_rejects_footprint_outside_disk(self):
-        g = BeamGeometry(theta=np.pi / 6)
-        beam = dm_surface_pattern(lambda x, y: x, g)
-        with pytest.raises(ValueError):
-            beam(np.array([0.0]), np.array([0.9]))  # maps to y = 1.8

@@ -29,6 +29,7 @@ from starkshaper.planner import (
     MirrorDeformation,
     PulseSchedule,
     PulseSegment,
+    RadialProfile,
 )
 from starkshaper.specfun import bessel_j
 from starkshaper.zernike import decompose
@@ -42,14 +43,14 @@ CRYSTAL = generate_hex_crystal(3, 0.3)  # 37 ions, rim at rho = 0.9
 
 
 def monomial(scale, power):
-    return lambda rho: scale * np.asarray(rho, dtype=float) ** power
+    return RadialProfile(power, (scale,))
 
 
 def single_order_schedule(m, amplitude, duration, u=U0, psi=PSI, mode="serial"):
     """One even component of order m driven at its own beatnote."""
     parts = {"even": monomial(amplitude, max(m, 1))} if m else {}
     if m == 0:
-        comp = DeformationComponent(0, even=lambda rho: amplitude * np.ones_like(np.asarray(rho, float)))
+        comp = DeformationComponent(0, even=RadialProfile(0, (amplitude,)))
     else:
         comp = DeformationComponent(m, **parts)
     seg = PulseSegment(
@@ -141,7 +142,7 @@ class TestInstantaneousCoefficient:
         assert np.allclose(f, U0 * np.cos(0.3 - 3 * OMEGA * t), atol=1e-9)
 
     def test_static_segment_value(self):
-        comp = DeformationComponent(0, even=lambda rho: 0.4 * np.ones_like(np.asarray(rho, float)))
+        comp = DeformationComponent(0, even=RadialProfile(0, (0.4,)))
         seg = PulseSegment(
             deformation=MirrorDeformation((comp,)), beatnotes=(0,),
             duration_s=10e-6, u_rad_s=U0, psi=PSI,

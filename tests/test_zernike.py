@@ -153,6 +153,19 @@ class TestRadialProfiles:
         via_profiles = prof.reconstruct(rho, phi)
         np.testing.assert_allclose(via_profiles, direct, atol=1e-12)
 
+    def test_grid_reconstruction_matches_pointwise(self):
+        # the radial sums run on rho's own (n, 1) shape and broadcast only
+        # in the angular products; the BLAS sum may round a vector's tail
+        # differently, so allow a few ulps
+        exp = decompose(DisplacedGaussianPattern(amplitude=0.3), n_max=20, m_max=8)
+        prof = exp.radial_profiles()
+        rho = np.linspace(0, 1, 33)[:, None]
+        phi = np.linspace(0, 2 * np.pi, 17, endpoint=False)[None, :]
+        pointwise = prof.reconstruct(*np.broadcast_arrays(rho, phi))
+        np.testing.assert_allclose(
+            prof.reconstruct(rho, phi), pointwise, rtol=0, atol=16 * np.finfo(float).eps
+        )
+
     def test_active_orders_for_elliptical(self):
         exp = decompose(EllipticalGaussianPattern(amplitude=0.5), n_max=26, m_max=10)
         assert exp.radial_profiles().active_orders(floor=1e-12) == [0, 2, 4, 6, 8, 10]
