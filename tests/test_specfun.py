@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
+from starkshaper import specfun
 from starkshaper.specfun import (
     J1_PEAK_VALUE,
     J1_PEAK_X,
@@ -107,6 +108,25 @@ class TestInverseJ1:
     @settings(max_examples=80, deadline=None)
     def test_residual_property(self, y):
         assert bessel_j(1, inverse_j1(y)) == pytest.approx(y, abs=1e-12)
+
+    def test_few_bessel_evaluations(self, monkeypatch):
+        calls = []
+
+        def counting(n, x):
+            calls.append(n)
+            return bessel_j(n, x)
+
+        monkeypatch.setattr(specfun, "bessel_j", counting)
+        inverse_j1(np.linspace(-J1_PEAK_VALUE, J1_PEAK_VALUE, 91))
+        assert len(calls) <= 7
+
+    def test_machine_precision_on_dense_grid(self):
+        y = np.linspace(-J1_PEAK_VALUE, J1_PEAK_VALUE, 20001)
+        x = inverse_j1(y)
+        assert np.max(np.abs(bessel_j(1, x) - y)) <= 2.3e-16
+        np.testing.assert_array_equal(inverse_j1(-y), -x)
+        assert inverse_j1(J1_PEAK_VALUE) == pytest.approx(J1_PEAK_X, abs=1e-6)
+        assert inverse_j1(-J1_PEAK_VALUE) == pytest.approx(-J1_PEAK_X, abs=1e-6)
 
 
 class TestZernikeIndex:

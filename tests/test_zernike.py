@@ -16,6 +16,7 @@ from starkshaper.patterns import (
 from starkshaper.specfun import ZernikeIndex, zernike_eval
 from starkshaper.zernike import (
     DiskQuadrature,
+    ErrorMap,
     ZernikeExpansion,
     decompose,
     disk_inner_product,
@@ -198,6 +199,23 @@ class TestErrorMap:
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         assert rows.shape[1] == 3
         assert np.max(rows[:, 2]) == pytest.approx(em.disk_max, rel=1e-12)
+
+    def test_map_csv_bytes_match_per_cell_format(self, tmp_path):
+        # Exponent forms, signed zero, the smallest subnormal and a
+        # 17-digit value, against the per-cell f-string rendering.
+        values = [0.0, -0.0, 5e-324, 1e-17, 1.0, 0.1 + 0.2]
+        rho = np.array([0.0, 1e-17, 0.1 + 0.2, 1.0])
+        phi = np.array([0.0, -0.0, 5e-324, 1.0, 0.1 + 0.2])
+        error = np.array([[values[(i + j) % 6] * (-1) ** j for j in range(5)] for i in range(4)])
+        em = ErrorMap(rho=rho, phi=phi, error=error, disk_max=1.0)
+        path = tmp_path / "map.csv"
+        em.write_csv(path)
+        expected = "rho,phi,error\n" + "".join(
+            f"{r:.17g},{p:.17g},{error[i, j]:.17g}\n"
+            for i, r in enumerate(rho)
+            for j, p in enumerate(phi)
+        )
+        assert path.read_bytes() == expected.encode()
 
 
 class TestJsonRoundTrip:
