@@ -83,7 +83,7 @@ def cmd_decompose(config_path, out):
     emap = truncation_error_map(pattern, exp, crystal=_crystal(cfg))
     save_expansion(exp, out / "expansion.json")
     emap.write_csv(out / "error_map.csv")
-    click.echo(f"wrote {out / 'expansion.json'} ({len(exp.coefficients)} coefficients)")
+    click.echo(f"wrote {out / 'expansion.json'} ({sum(c.size for c in exp.cos + exp.sin)} coefficients)")
     click.echo(
         f"wrote {out / 'error_map.csv'} "
         f"(disk max {emap.disk_max:.3e}, at-ion max {emap.ion_max:.3e})"

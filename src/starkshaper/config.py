@@ -159,12 +159,15 @@ class RunConfig:
                             self.pattern_params)
 
 
+# Built once: jsonschema.validate re-checks the schema on every call.
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
 def config_from_dict(payload: dict) -> RunConfig:
-    try:
-        jsonschema.validate(payload, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {exc.message}") from None
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(payload))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config invalid at {where}: {error.message}")
 
     drive = payload["drive"]
     u = _rate(drive, "u", "drive")

@@ -226,19 +226,22 @@ def tabulated_from_csv(path: str | Path, amplitude: float | None = None) -> Tabu
     is omitted it is taken as max |value|.
     """
     path = Path(path)
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read pattern table {path}: {exc}") from None
     rows = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 3:
-            raise ConfigError(f"{path}: expected header row 'rho,phi,value'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append((float(row[0]), float(row[1]), float(row[2])))
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"{path}:{line_no}: malformed row {row!r}") from exc
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or len(header) < 3:
+        raise ConfigError(f"{path}: expected header row 'rho,phi,value'")
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            rows.append((float(row[0]), float(row[1]), float(row[2])))
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"{path}:{line_no}: malformed row {row!r}") from exc
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     data = np.array(rows)

@@ -215,24 +215,18 @@ def plan_serial(
     u_rad_s: float,
     omega_rad_s: float,
     psi: float = DEFAULT_PSI,
-    segment_rotations: int | None = None,
-    pattern_peak: float | None = None,
-    dm_reset_time_s: float = 0.0,
+    *,
+    pattern_peak: float,
 ) -> PulseSchedule:
-    """Compile a serial schedule: one precompensated segment per component.
-
-    `segment_rotations` overrides the automatic choice of the smallest
-    commensurate duration; `pattern_peak` supplies the exact pattern
-    maximum for the pi calibration (defaults to the reconstruction's max
-    on a dense grid).
-    """
-    if u_rad_s <= 0 or omega_rad_s <= 0:
-        raise ConfigError("U and omega must be positive")
-    profiles = exp.radial_profiles()
-    peak = _resolve_peak(profiles, pattern_peak)
-
+    """Compile a serial schedule: one precompensated segment per component,
+    each lasting the smallest commensurate duration.  `pattern_peak` is the
+    exact pattern maximum that the pi calibration uses."""
+    if u_rad_s <= 0 or omega_rad_s <= 0 or pattern_peak <= 0:
+        raise ConfigError(
+            f"U, omega and the pattern peak must be positive, got {u_rad_s}, {omega_rad_s}, {pattern_peak}"
+        )
     parts = []
-    for m, parity, coeffs in _planned_parts(exp, profiles):
+    for m, parity, coeffs in _planned_parts(exp):
         if m == 0:  # cos(delta + psi) = A P0
             part = RadialProfile(0, coeffs, "arccos", exp.amplitude, -psi)
         else:  # J1(delta) = A Pm (or A Qm)
@@ -245,10 +239,8 @@ def plan_serial(
         parts.append((m, parity, part))
 
     rotating = any(m > 0 for m, _, _ in parts)
-    t_base = np.pi / (2.0 * u_rad_s * peak)
-    t_seg, u_seg, rotations = _commensurate(
-        t_base, u_rad_s, omega_rad_s, segment_rotations, force=rotating
-    )
+    t_base = np.pi / (2.0 * u_rad_s * pattern_peak)
+    t_seg, u_seg = _commensurate(t_base, u_rad_s, omega_rad_s, force=rotating)
     segments = tuple(
         PulseSegment(
             deformation=MirrorDeformation((DeformationComponent(m, **{parity: part}),)),
@@ -267,7 +259,6 @@ def plan_serial(
         target_u_rad_s=u_seg,
         gate_time_s=t_seg,
         amplitude=exp.amplitude,
-        dm_reset_time_s=dm_reset_time_s,
     )
 
 
@@ -276,8 +267,8 @@ def plan_parallel(
     u_rad_s: float,
     omega_rad_s: float,
     psi: float = DEFAULT_PSI,
-    total_rotations: int | None = None,
-    pattern_peak: float | None = None,
+    *,
+    pattern_peak: float,
 ) -> PulseSchedule:
     """Compile a parallel schedule: one mirror setting, all beatnotes at once.
 
@@ -286,21 +277,18 @@ def plan_parallel(
     The m = 0 deformation component is halved relative to the rotating
     orders because the static transfer has twice their gain.
     """
-    if u_rad_s <= 0 or omega_rad_s <= 0:
-        raise ConfigError("U and omega must be positive")
-    profiles = exp.radial_profiles()
-    peak = _resolve_peak(profiles, pattern_peak)
-
+    if u_rad_s <= 0 or omega_rad_s <= 0 or pattern_peak <= 0:
+        raise ConfigError(
+            f"U, omega and the pattern peak must be positive, got {u_rad_s}, {omega_rad_s}, {pattern_peak}"
+        )
     by_order: dict[int, dict[str, RadialProfile]] = {}
-    for m, parity, coeffs in _planned_parts(exp, profiles):
+    for m, parity, coeffs in _planned_parts(exp):
         scale = 0.5 * exp.amplitude if m == 0 else exp.amplitude
         by_order.setdefault(m, {})[parity] = RadialProfile(m, coeffs, "linear", scale)
     comb = tuple(by_order)
 
-    t_base = np.pi / (u_rad_s * peak)  # U_eff = U/2
-    t_run, u_run, rotations = _commensurate(
-        t_base, u_rad_s, omega_rad_s, total_rotations, force=any(m > 0 for m in comb)
-    )
+    t_base = np.pi / (u_rad_s * pattern_peak)  # U_eff = U/2
+    t_run, u_run = _commensurate(t_base, u_rad_s, omega_rad_s, force=any(m > 0 for m in comb))
 
     segment = PulseSegment(
         deformation=MirrorDeformation(
@@ -318,51 +306,34 @@ def plan_parallel(
         target_u_rad_s=0.5 * u_run,
         gate_time_s=t_run,
         amplitude=exp.amplitude,
-        dm_reset_time_s=0.0,
     )
 
 
-def _planned_parts(exp: ZernikeExpansion, profiles) -> list[tuple[int, str, np.ndarray]]:
+def _planned_parts(exp: ZernikeExpansion) -> list[tuple[int, str, np.ndarray]]:
     """(m, parity, coefficients) of every radial part whose amplitude-scaled
     profile exceeds the component floor on the check grid; m ascending,
     even before odd."""
     parts = []
-    for m in profiles.active_orders(floor=_COMPONENT_FLOOR):
-        for parity, table in (("even", profiles.cos), ("odd", profiles.sin)):
-            if m in table:
-                vals = exp.amplitude * zernike_radial_sum(m, table[m], _CHECK_RHO)
-                if np.max(np.abs(vals)) > _COMPONENT_FLOOR:
-                    parts.append((m, parity, table[m]))
+    for m in exp.active_orders(floor=_COMPONENT_FLOOR):
+        for parity, coeffs in (("even", exp.cos[m]), ("odd", exp.sin[m])):
+            vals = exp.amplitude * zernike_radial_sum(m, coeffs, _CHECK_RHO)
+            if np.max(np.abs(vals)) > _COMPONENT_FLOOR:
+                parts.append((m, parity, coeffs))
     if not parts:
         raise ConfigError("expansion has no components above threshold; nothing to plan")
     return parts
 
 
-def _resolve_peak(profiles, pattern_peak: float | None) -> float:
-    if pattern_peak is not None:
-        if pattern_peak <= 0:
-            raise ConfigError("pattern peak must be positive")
-        return float(pattern_peak)
-    rho = np.linspace(0.0, 1.0, 1024)
-    phi = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    return float(np.max(np.abs(profiles.reconstruct(rho[:, None], phi[None, :]))))
-
-
-def _commensurate(t_base, u, omega, rotations_override, force):
-    """Pick (T, U, r): duration, scaled strength, rotation count."""
+def _commensurate(t_base, u, omega, force):
+    """Pick (T, U): with `force`, the smallest whole number of rotation
+    periods r with r*period >= t_base (tiny slack so an exactly integer
+    t_base is not bumped up by rounding noise) and U scaled to keep the
+    pulse area; otherwise t_base and U as they are."""
+    if not force:
+        return t_base, u
     period = 2.0 * np.pi / omega
-    if rotations_override is None and not force:
-        return t_base, u, t_base / period
-    if rotations_override is not None:
-        r = int(rotations_override)
-        if r < 1:
-            raise ConfigError(f"rotation count must be >= 1, got {rotations_override}")
-    else:
-        # smallest integer r with r*period >= t_base (tiny slack so an
-        # exactly integer t_base is not bumped up by rounding noise)
-        r = max(1, int(np.ceil(t_base / period - 1e-9)))
-    t = r * period
-    return t, u * (t_base / t), r
+    t = max(1, int(np.ceil(t_base / period - 1e-9))) * period
+    return t, u * (t_base / t)
 
 
 @dataclass(frozen=True)
@@ -549,7 +520,11 @@ def save_schedule(schedule: PulseSchedule, path: str | Path) -> None:
 
 
 def load_schedule(path: str | Path) -> PulseSchedule:
-    return schedule_from_json_dict(json.loads(Path(path).read_text()))
+    path = Path(path)
+    try:
+        return schedule_from_json_dict(json.loads(path.read_text()))
+    except (OSError, ValueError, ConfigError) as exc:
+        raise ConfigError(f"cannot load schedule {path}: {exc}") from None
 
 
 def schedule_hash(schedule: PulseSchedule) -> str:

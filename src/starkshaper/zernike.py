@@ -1,5 +1,8 @@
-"""Projection of disk patterns onto the Zernike basis, radial-profile
-aggregation by azimuthal order, reconstruction, and truncation-error maps.
+"""Projection of disk patterns onto the Zernike basis, reconstruction,
+truncation-error maps and expansion.json.  A ZernikeExpansion keeps its
+coefficients as one cos and one sin array per azimuthal order m, the form
+its radial profiles, its reconstruction and the planner (one mirror
+surface per order) all read; the projection fills those arrays directly.
 
 Quadrature design: Gauss-Legendre in rho on [0, 1] with the rho measure
 folded into the weights (exact for polynomial radial content up to degree
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import ConfigError, QuadratureError
 from .patterns import TargetPattern
 from .specfun import ZernikeIndex, zernike_radial_stack, zernike_radial_sum
 
@@ -67,75 +70,56 @@ def disk_inner_product(f, g, quad: DiskQuadrature = DiskQuadrature()) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ZernikeExpansion:
-    """Finite Zernike sum F-tilde = A * sum alpha_n^m Z_n^m."""
+    """Finite Zernike sum F-tilde = A * sum alpha_n^m Z_n^m, held by
+    azimuthal order: cos[m][k] = alpha_{m+2k}^m and sin[m][k] =
+    alpha_{m+2k}^{-m} for 0 <= m <= m_max and k = 0..(n_max - m) // 2;
+    sin[0] is empty."""
 
     amplitude: float
     n_max: int
     m_max: int
-    coefficients: dict  # ZernikeIndex -> float
+    cos: tuple[np.ndarray, ...]
+    sin: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        for idx in self.coefficients:
-            if idx.n > self.n_max or abs(idx.m) > self.m_max:
-                raise ValueError(f"coefficient index {idx} outside (n_max, m_max) box")
+        cos = tuple(np.asarray(c, dtype=float) for c in self.cos)
+        sin = tuple(np.asarray(s, dtype=float) for s in self.sin)
+        box = [((self.n_max - m) // 2 + 1,) for m in range(self.m_max + 1)]
+        shapes = ([c.shape for c in cos], [s.shape for s in sin])
+        if not 0 <= self.m_max <= self.n_max or shapes != (box, [(0,), *box[1:]]):
+            raise ValueError(f"coefficient arrays do not fit the (n_max={self.n_max}, m_max={self.m_max}) box")
+        if not np.isfinite(self.amplitude) or not all(np.isfinite(c).all() for c in cos + sin):
+            raise ValueError("expansion amplitude and coefficients must be finite")
+        object.__setattr__(self, "cos", cos)
+        object.__setattr__(self, "sin", sin)
 
     def coefficient(self, n: int, m: int) -> float:
-        return self.coefficients.get(ZernikeIndex(n, m), 0.0)
+        idx = ZernikeIndex(n, m)  # validates
+        if n > self.n_max or abs(m) > self.m_max:
+            return 0.0
+        return float((self.cos if m >= 0 else self.sin)[abs(m)][idx.k])
 
-    def radial_profiles(self) -> "RadialProfileSet":
-        return RadialProfileSet.from_expansion(self)
-
-    def reconstruct(self, rho, phi) -> np.ndarray | float:
-        """Evaluate A * sum alpha_n^m Z_n^m at (rho, phi), broadcasting."""
-        return self.radial_profiles().reconstruct(rho, phi)
-
-    def sorted_items(self):
-        return sorted(self.coefficients.items(), key=lambda kv: (abs(kv[0].m), kv[0].m < 0, kv[0].n))
-
-
-class RadialProfileSet:
-    """Azimuthal aggregation of an expansion: for each m >= 0,
-    P^m(rho) = sum_n alpha_n^m R_n^m (cos partner) and
-    Q^m(rho) = sum_n alpha_n^(-m) R_n^m (sin partner, Q^0 = 0)."""
-
-    def __init__(self, amplitude: float, n_max: int, m_max: int, cos_coeffs, sin_coeffs):
-        self.amplitude = amplitude
-        self.n_max = n_max
-        self.m_max = m_max
-        self.cos = cos_coeffs  # m -> array over k of alpha_{m+2k, m}
-        self.sin = sin_coeffs  # m -> array over k of alpha_{m+2k, -m}
-
-    @classmethod
-    def from_expansion(cls, exp: ZernikeExpansion) -> "RadialProfileSet":
-        cos_c, sin_c = {}, {}
-        for m in range(exp.m_max + 1):
-            k_max = (exp.n_max - m) // 2
-            if k_max < 0:
-                continue
-            cos_c[m] = np.array([exp.coefficient(m + 2 * k, m) for k in range(k_max + 1)])
-            if m > 0:
-                sin_c[m] = np.array([exp.coefficient(m + 2 * k, -m) for k in range(k_max + 1)])
-        return cls(exp.amplitude, exp.n_max, exp.m_max, cos_c, sin_c)
+    def items(self):
+        """(ZernikeIndex, alpha) pairs in (|m|, m < 0, n) order."""
+        for m in range(self.m_max + 1):
+            for sign, table in ((1, self.cos), (-1, self.sin)):
+                for k, alpha in enumerate(table[m].tolist()):
+                    yield ZernikeIndex(m + 2 * k, sign * m), alpha
 
     def even(self, m: int, rho) -> np.ndarray:
         """P^m at rho (coefficient of cos(m phi) in F-tilde / A)."""
-        return zernike_radial_sum(m, self.cos.get(m, ()), rho)
+        return zernike_radial_sum(m, self.cos[m], rho)
 
     def odd(self, m: int, rho) -> np.ndarray:
         """Q^m at rho (coefficient of sin(m phi)); identically 0 for m = 0."""
-        return zernike_radial_sum(m, self.sin.get(m, ()), rho)
+        return zernike_radial_sum(m, self.sin[m], rho)
 
     def active_orders(self, floor: float = 0.0) -> list[int]:
         """Azimuthal orders with any coefficient above `floor`."""
-        out = []
-        for m in range(self.m_max + 1):
-            c = self.cos.get(m)
-            s = self.sin.get(m)
-            big_c = c is not None and c.size and np.max(np.abs(c)) > floor
-            big_s = s is not None and s.size and np.max(np.abs(s)) > floor
-            if big_c or big_s:
-                out.append(m)
-        return out
+        return [
+            m for m in range(self.m_max + 1)
+            if any(t[m].size and np.max(np.abs(t[m])) > floor for t in (self.cos, self.sin))
+        ]
 
     def reconstruct(self, rho, phi) -> np.ndarray | float:
         """A * sum over m of P^m cos(m phi) + Q^m sin(m phi); the radial sums
@@ -160,36 +144,35 @@ def decompose(
     n_max: int,
     m_max: int,
     quad: DiskQuadrature = DiskQuadrature(),
-    certify: bool = True,
 ) -> ZernikeExpansion:
     """Project pattern / amplitude onto all valid Z_n^m with n <= n_max,
     |m| <= m_max:  alpha_n^m = (2n + 2) / (eps_m pi) * <F/A, Z_n^m>.
 
-    With certify=True the projection is repeated on a doubled rule and a
-    QuadratureError is raised if any coefficient moves by more than 1e-9
-    relative to the largest one.
+    The projection is repeated on a doubled rule and a QuadratureError is
+    raised if any coefficient moves by more than 1e-9 relative to the
+    largest one.
     """
     if not 0 <= m_max <= n_max:
         raise ValueError(f"need 0 <= m_max <= n_max, got n_max={n_max}, m_max={m_max}")
     if pattern.amplitude == 0:
         raise ValueError("pattern amplitude must be nonzero to decompose")
 
-    coeffs = _project(pattern, n_max, m_max, quad)
-    if certify:
-        refined = _project(pattern, n_max, m_max, quad.doubled())
-        base = np.array(list(coeffs.values()))
-        fine = np.array([refined[k] for k in coeffs])
-        scale = max(float(np.max(np.abs(base))), 1e-30)
-        drift = float(np.max(np.abs(fine - base))) / scale
-        if drift >= 1e-9:
-            raise QuadratureError(
-                f"decomposition not converged on {quad.radial}x{quad.azimuthal} rule: "
-                f"doubling moves coefficients by {drift:.2e} (relative)"
-            )
-    return ZernikeExpansion(pattern.amplitude, n_max, m_max, coeffs)
+    cos, sin = _project(pattern, n_max, m_max, quad)
+    fine_cos, fine_sin = _project(pattern, n_max, m_max, quad.doubled())
+    base = np.concatenate(cos + sin)
+    fine = np.concatenate(fine_cos + fine_sin)
+    scale = max(float(np.max(np.abs(base))), 1e-30)
+    drift = float(np.max(np.abs(fine - base))) / scale
+    if drift >= 1e-9:
+        raise QuadratureError(
+            f"decomposition not converged on {quad.radial}x{quad.azimuthal} rule: "
+            f"doubling moves coefficients by {drift:.2e} (relative)"
+        )
+    return ZernikeExpansion(pattern.amplitude, n_max, m_max, cos, sin)
 
 
-def _project(pattern: TargetPattern, n_max: int, m_max: int, quad: DiskQuadrature) -> dict:
+def _project(pattern: TargetPattern, n_max: int, m_max: int, quad: DiskQuadrature):
+    """The (cos, sin) coefficient arrays of ZernikeExpansion on one rule."""
     rho, w_rho, phi, w_phi = quad.nodes
     values = np.asarray(pattern(rho[:, None], phi[None, :]), dtype=float) / pattern.amplitude
 
@@ -197,24 +180,16 @@ def _project(pattern: TargetPattern, n_max: int, m_max: int, quad: DiskQuadratur
     cos_moments = (values @ np.cos(np.outer(phi, orders))) * w_phi  # (nr, m_max+1)
     sin_moments = (values @ np.sin(np.outer(phi, orders))) * w_phi
 
-    coeffs: dict[ZernikeIndex, float] = {}
+    cos, sin = [], [np.zeros(0)]
     for m in range(m_max + 1):
         k_max = (n_max - m) // 2
-        if k_max < 0:
-            continue
         stack = zernike_radial_stack(m, k_max, rho)  # (k_max+1, nr)
         eps = 2.0 if m == 0 else 1.0
         n_vals = m + 2 * np.arange(k_max + 1)
-        norm = (2.0 * n_vals + 2.0) / (eps * np.pi)
-        coeffs_cos = norm * (stack @ (w_rho * cos_moments[:, m]))
-        for k, n in enumerate(n_vals):
-            coeffs[ZernikeIndex(int(n), m)] = float(coeffs_cos[k])
+        cos.append((2.0 * n_vals + 2.0) / (eps * np.pi) * (stack @ (w_rho * cos_moments[:, m])))
         if m > 0:
-            norm_sin = (2.0 * n_vals + 2.0) / np.pi
-            coeffs_sin = norm_sin * (stack @ (w_rho * sin_moments[:, m]))
-            for k, n in enumerate(n_vals):
-                coeffs[ZernikeIndex(int(n), -m)] = float(coeffs_sin[k])
-    return coeffs
+            sin.append((2.0 * n_vals + 2.0) / np.pi * (stack @ (w_rho * sin_moments[:, m])))
+    return tuple(cos), tuple(sin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,53 +221,54 @@ class ErrorMap:
                 fh.write(line.replace("%s", f"{r:.17g}") % tuple(row.tolist()))
 
 
-def truncation_error_map(
-    pattern: TargetPattern,
-    exp: ZernikeExpansion,
-    radial_points: int = 256,
-    azimuthal_points: int = 512,
-    crystal=None,
-) -> ErrorMap:
-    if radial_points < 64 or azimuthal_points < 128:
-        raise ValueError("error-map grid must be at least 64 x 128")
-    rho = np.linspace(0.0, 1.0, radial_points)
-    phi = np.linspace(0.0, 2.0 * np.pi, azimuthal_points, endpoint=False)
+def truncation_error_map(pattern: TargetPattern, exp: ZernikeExpansion, crystal=None) -> ErrorMap:
+    """|F - F_tilde| / peak on a 256 x 512 polar grid, and at the ions of
+    `crystal` when one is given."""
+    rho = np.linspace(0.0, 1.0, 256)
+    phi = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
     scale = pattern.peak_value()
     target = np.asarray(pattern(rho[:, None], phi[None, :]), dtype=float)
-    approx = exp.radial_profiles().reconstruct(rho[:, None], phi[None, :])
-    err = np.abs(target - approx) / scale
+    err = np.abs(target - exp.reconstruct(rho[:, None], phi[None, :])) / scale
     ion_error = ion_max = None
     if crystal is not None:
-        at_ions = np.abs(
+        ion_error = np.abs(
             np.asarray(pattern(crystal.rho, crystal.phi), dtype=float)
             - exp.reconstruct(crystal.rho, crystal.phi)
         ) / scale
-        ion_error = at_ions
-        ion_max = float(np.max(at_ions))
+        ion_max = float(np.max(ion_error))
     return ErrorMap(rho, phi, err, float(np.max(err)), ion_error, ion_max)
 
 
-def expansion_to_json_dict(exp: ZernikeExpansion, floor: float = COEFFICIENT_EXPORT_FLOOR) -> dict:
+def expansion_to_json_dict(exp: ZernikeExpansion) -> dict:
+    """The expansion with every |alpha| below COEFFICIENT_EXPORT_FLOOR dropped,
+    coefficients in (|m|, m < 0, n) order."""
     return {
         "amplitude": exp.amplitude,
         "n_max": exp.n_max,
         "m_max": exp.m_max,
         "coefficients": [
             {"n": idx.n, "m": idx.m, "alpha": alpha}
-            for idx, alpha in exp.sorted_items()
-            if abs(alpha) >= floor
+            for idx, alpha in exp.items()
+            if abs(alpha) >= COEFFICIENT_EXPORT_FLOOR
         ],
     }
 
 
 def expansion_from_json_dict(payload: dict) -> ZernikeExpansion:
-    coeffs = {
-        ZernikeIndex(int(c["n"]), int(c["m"])): float(c["alpha"])
-        for c in payload["coefficients"]
-    }
-    return ZernikeExpansion(
-        float(payload["amplitude"]), int(payload["n_max"]), int(payload["m_max"]), coeffs
-    )
+    """Rebuild an expansion; coefficients the payload omits are 0.  Every
+    index must be a valid (n, m) inside the (n_max, m_max) box."""
+    try:
+        n_max, m_max = int(payload["n_max"]), int(payload["m_max"])
+        cos = [np.zeros(max(0, (n_max - m) // 2 + 1)) for m in range(m_max + 1)]
+        sin = [np.zeros(0)] + [np.zeros_like(c) for c in cos[1:]]
+        for c in payload["coefficients"]:
+            idx = ZernikeIndex(int(c["n"]), int(c["m"]))
+            if idx.n > n_max or abs(idx.m) > m_max:
+                raise ValueError(f"coefficient index {idx} outside (n_max, m_max) box")
+            (cos if idx.m >= 0 else sin)[abs(idx.m)][idx.k] = float(c["alpha"])
+        return ZernikeExpansion(float(payload["amplitude"]), n_max, m_max, tuple(cos), tuple(sin))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed expansion JSON: {exc!r}") from None
 
 
 def save_expansion(exp: ZernikeExpansion, path: str | Path) -> None:
@@ -300,4 +276,8 @@ def save_expansion(exp: ZernikeExpansion, path: str | Path) -> None:
 
 
 def load_expansion(path: str | Path) -> ZernikeExpansion:
-    return expansion_from_json_dict(json.loads(Path(path).read_text()))
+    path = Path(path)
+    try:
+        return expansion_from_json_dict(json.loads(path.read_text()))
+    except (OSError, ValueError, ConfigError) as exc:
+        raise ConfigError(f"cannot load expansion {path}: {exc}") from None

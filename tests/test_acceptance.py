@@ -297,7 +297,6 @@ class TestCriterion9Properties:
         pat = EllipticalGaussianPattern(amplitude=0.5)
         exp = decompose(pat, 26, 10)
         sched = plan_serial(exp, U0, OMEGA, pattern_peak=pat.peak_value())
-        prof = exp.radial_profiles()
         rho = np.linspace(0.0, 1.0, 400)
         worst = 0.0
         for seg in sched.segments:
@@ -305,7 +304,7 @@ class TestCriterion9Properties:
             if comp.m == 0:
                 continue
             achieved = bessel_j(1, comp.even(rho))
-            wanted = exp.amplitude * prof.even(comp.m, rho)
+            wanted = exp.amplitude * exp.even(comp.m, rho)
             worst = max(worst, float(np.max(np.abs(achieved - wanted))))
         assert check(9, "precompensation round-trip identity to 1e-10",
                      worst < 1e-10, f"worst residual {worst:.2e}")

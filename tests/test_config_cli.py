@@ -6,13 +6,14 @@ import re
 import shlex
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from starkshaper import analysis
 from starkshaper.cli import main
-from starkshaper.config import config_from_dict, load_config
+from starkshaper.config import CONFIG_SCHEMA, config_from_dict, load_config
 from starkshaper.errors import ConfigError
 from starkshaper.planner import (
     DeformationComponent,
@@ -103,6 +104,11 @@ mode: serial
 """)
         cfg = load_config(path)
         assert cfg.u_rad_s == pytest.approx(2 * np.pi * 1e4, rel=1e-15)
+
+    def test_schema_is_a_valid_draft_2020_12_schema(self):
+        # the validator is built once at import, without validate()'s
+        # per-call meta-schema check
+        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
     def test_loader_failures(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -363,3 +369,44 @@ simulation: {tolerance: 1.0e-12, threads: 4}
         ])
         assert res.exit_code == 2
         assert "0.700000" in res.output and f"{J1_PEAK_VALUE:.6f}" in res.output
+
+    @pytest.mark.parametrize("text", [
+        '{"amplitude": 1.0, "n_max": 4, "m_max": 2, "coefficients": [{"n": 6, "m": 2, "alpha": 1.0}]}',
+        '{"amplitude": 1.0, "n_max": 4, "m_max": 2, "coefficients": [{"n": 3, "m": 0, "alpha": 1.0}]}',
+        '{"amplitude": 1.0, "n_max": 4, "coefficients": []}',
+        '{"amplitude": 1.0, "n_max": 4, "m_max": 2, "coefficients": '
+        '[{"n": 0, "m": 0, "alpha": 0.5}, {"n": 2, "m": 2, "alpha": NaN}]}',
+        "not json",
+        None,  # no file at all
+    ], ids=["outside-box", "odd-n-minus-m", "missing-key", "non-finite", "not-json", "missing-file"])
+    def test_malformed_expansion_is_exit_2(self, runner, tmp_path, text):
+        cfg = write_yaml(tmp_path / "run.yaml", SMALL_ANNULUS_YAML)
+        path = tmp_path / "expansion.json"
+        if text is not None:
+            path.write_text(text)
+        res = runner.invoke(main, [
+            "plan", "--config", cfg, "--expansion", str(path), "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 2, res.output
+        assert f"cannot load expansion {path}" in res.output
+
+    @pytest.mark.parametrize("text", ["{not json", None], ids=["not-json", "missing-file"])
+    def test_unreadable_schedule_is_exit_2(self, runner, tmp_path, text):
+        cfg = write_yaml(tmp_path / "run.yaml", SMALL_ANNULUS_YAML)
+        path = tmp_path / "schedule.json"
+        if text is not None:
+            path.write_text(text)
+        res = runner.invoke(main, [
+            "simulate", "--config", cfg, "--schedule", str(path), "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 2, res.output
+        assert f"cannot load schedule {path}" in res.output
+
+    def test_missing_tabulated_csv_is_exit_2(self, runner, tmp_path):
+        table = tmp_path / "absent.csv"
+        cfg = write_yaml(tmp_path / "run.yaml", SMALL_ANNULUS_YAML.replace(
+            "{kind: annulus, amplitude: 1.0}", f"{{kind: tabulated, amplitude: 1.0, params: {{path: '{table}'}}}}"
+        ))
+        res = runner.invoke(main, ["decompose", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert f"cannot read pattern table {table}" in res.output

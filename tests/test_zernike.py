@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starkshaper.errors import QuadratureError
+from starkshaper.errors import ConfigError, QuadratureError
 from starkshaper.patterns import (
     AnnulusPattern,
     DisplacedGaussianPattern,
@@ -22,6 +22,7 @@ from starkshaper.zernike import (
     disk_inner_product,
     expansion_from_json_dict,
     expansion_to_json_dict,
+    save_expansion,
     truncation_error_map,
 )
 
@@ -75,7 +76,7 @@ class TestDecompose:
         assert exp.coefficient(3, -3) == pytest.approx(0.2, abs=1e-12)
         others = [
             abs(a)
-            for idx, a in exp.coefficients.items()
+            for idx, a in exp.items()
             if (idx.n, idx.m) not in ((4, 2), (3, -3))
         ]
         assert max(others) < 1e-12
@@ -116,13 +117,13 @@ class TestDecompose:
 
     def test_annulus_keeps_only_m0(self):
         exp = decompose(AnnulusPattern(amplitude=1.0), n_max=16, m_max=6)
-        off_axis = [abs(a) for idx, a in exp.coefficients.items() if idx.m != 0]
+        off_axis = [abs(a) for idx, a in exp.items() if idx.m != 0]
         assert max(off_axis) < 1e-12
 
     def test_elliptical_gaussian_parity(self):
         # symmetric under x -> -x and y -> -y: only even m, no sin terms
         exp = decompose(EllipticalGaussianPattern(amplitude=0.5), n_max=12, m_max=6)
-        bad = [abs(a) for idx, a in exp.coefficients.items() if idx.m < 0 or idx.m % 2 == 1]
+        bad = [abs(a) for idx, a in exp.items() if idx.m < 0 or idx.m % 2 == 1]
         assert max(bad) < 1e-12
 
     def test_parseval_energy_accounting(self):
@@ -132,7 +133,7 @@ class TestDecompose:
         total = disk_inner_product(f, f)
         # captured energy never exceeds the true energy and the (30, 14)
         # band leaves only the narrow-Gaussian tail behind (~0.5%)
-        captured = sum(a * a * idx.norm() for idx, a in exp.coefficients.items())
+        captured = sum(a * a * idx.norm() for idx, a in exp.items())
         assert captured < total + 1e-12
         assert captured == pytest.approx(total, rel=2e-2)
 
@@ -144,32 +145,21 @@ class TestDecompose:
 
 
 class TestRadialProfiles:
-    def test_profiles_resum_to_reconstruction(self):
-        pat = DisplacedGaussianPattern(amplitude=0.3)
-        exp = decompose(pat, n_max=20, m_max=8)
-        prof = exp.radial_profiles()
-        rho = np.linspace(0, 1, 33)[:, None]
-        phi = np.linspace(0, 2 * np.pi, 17, endpoint=False)[None, :]
-        direct = exp.reconstruct(rho, phi)
-        via_profiles = prof.reconstruct(rho, phi)
-        np.testing.assert_allclose(via_profiles, direct, atol=1e-12)
-
     def test_grid_reconstruction_matches_pointwise(self):
         # the radial sums run on rho's own (n, 1) shape and broadcast only
         # in the angular products; the BLAS sum may round a vector's tail
         # differently, so allow a few ulps
         exp = decompose(DisplacedGaussianPattern(amplitude=0.3), n_max=20, m_max=8)
-        prof = exp.radial_profiles()
         rho = np.linspace(0, 1, 33)[:, None]
         phi = np.linspace(0, 2 * np.pi, 17, endpoint=False)[None, :]
-        pointwise = prof.reconstruct(*np.broadcast_arrays(rho, phi))
+        pointwise = exp.reconstruct(*np.broadcast_arrays(rho, phi))
         np.testing.assert_allclose(
-            prof.reconstruct(rho, phi), pointwise, rtol=0, atol=16 * np.finfo(float).eps
+            exp.reconstruct(rho, phi), pointwise, rtol=0, atol=16 * np.finfo(float).eps
         )
 
     def test_active_orders_for_elliptical(self):
         exp = decompose(EllipticalGaussianPattern(amplitude=0.5), n_max=26, m_max=10)
-        assert exp.radial_profiles().active_orders(floor=1e-12) == [0, 2, 4, 6, 8, 10]
+        assert exp.active_orders(floor=1e-12) == [0, 2, 4, 6, 8, 10]
 
 
 class TestErrorMap:
@@ -224,17 +214,64 @@ class TestJsonRoundTrip:
         clone = expansion_from_json_dict(json.loads(json.dumps(expansion_to_json_dict(exp))))
         assert clone.amplitude == exp.amplitude
         assert (clone.n_max, clone.m_max) == (exp.n_max, exp.m_max)
-        for idx, a in exp.coefficients.items():
-            if abs(a) >= 1e-12:
-                assert clone.coefficient(idx.n, idx.m) == pytest.approx(a, abs=1e-15)
+        for idx, a in exp.items():
+            assert clone.coefficient(idx.n, idx.m) == (a if abs(a) >= 1e-12 else 0.0)
 
     def test_malformed_payload_rejected(self):
         with pytest.raises(Exception):
             expansion_from_json_dict({"amplitude": 1.0, "coefficients": "nope"})
 
 
+    def test_expansion_json_bytes(self, tmp_path):
+        # keys in record order, coefficients in (|m|, m < 0, n) order, the
+        # below-floor entry dropped, floats in shortest round-trip form
+        exp = expansion_from_json_dict({"amplitude": 0.5, "n_max": 3, "m_max": 1, "coefficients": [
+            {"n": 3, "m": -1, "alpha": -0.25}, {"n": 1, "m": 1, "alpha": 0.1 + 0.2},
+            {"n": 2, "m": 0, "alpha": 5e-13}, {"n": 0, "m": 0, "alpha": 1.0},
+            {"n": 1, "m": -1, "alpha": 1e-12},
+        ]})
+        save_expansion(exp, tmp_path / "expansion.json")
+        assert (tmp_path / "expansion.json").read_text() == """{
+  "amplitude": 0.5,
+  "n_max": 3,
+  "m_max": 1,
+  "coefficients": [
+    {
+      "n": 0,
+      "m": 0,
+      "alpha": 1.0
+    },
+    {
+      "n": 1,
+      "m": 1,
+      "alpha": 0.30000000000000004
+    },
+    {
+      "n": 1,
+      "m": -1,
+      "alpha": 1e-12
+    },
+    {
+      "n": 3,
+      "m": -1,
+      "alpha": -0.25
+    }
+  ]
+}
+"""
+
+
 def test_expansion_box_validation():
-    with pytest.raises(ValueError):
-        ZernikeExpansion(
-            amplitude=1.0, n_max=4, m_max=2, coefficients={ZernikeIndex(6, 2): 1.0}
-        )
+    payload = {"amplitude": 1.0, "n_max": 4, "m_max": 2, "coefficients": [{"n": 6, "m": 2, "alpha": 1.0}]}
+    with pytest.raises(ConfigError, match="outside"):
+        expansion_from_json_dict(payload)
+
+
+def test_record_arrays_must_fit_the_box():
+    cos = (np.zeros(3), np.zeros(2), np.zeros(2))
+    sin = (np.zeros(0), np.zeros(2), np.zeros(2))
+    assert ZernikeExpansion(1.0, 4, 2, cos, sin).coefficient(4, 2) == 0.0
+    with pytest.raises(ValueError, match="box"):
+        ZernikeExpansion(1.0, 4, 2, cos, (np.zeros(1),) + sin[1:])
+    with pytest.raises(ValueError, match="box"):
+        ZernikeExpansion(1.0, 4, 2, cos[:2], sin[:2])
