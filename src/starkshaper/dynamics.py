@@ -12,10 +12,10 @@ and the infidelity against a target Z-rotation theta* is sin^2((theta-theta*)/2)
 Three independent evaluation routes, kept deliberately separate so they can
 cross-check each other:
 
-  evolve_exact         Gauss-Legendre panels over one rotation period,
-                       weighted by the number of whole rotations, plus
-                       the signed remainder; node doubling until the
-                       phase converges
+  evolve_exact         Gauss-Legendre panels over one base period P/g of
+                       the separable drive, weighted by the number of
+                       whole base periods, plus the signed remainder;
+                       node doubling until the phase converges
   evolve_exact_bessel  closed-form term-by-term time integrals of the
                        Jacobi-Anger expansion (single even-component
                        segments only) -- the analytic oracle
@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -96,11 +97,6 @@ def target_phases(
     return 2.0 * u_rad_s * pattern.evaluate(crystal.rho, crystal.phi) * t_total_s
 
 
-def target_phases_from_expansion(crystal: IonCrystal, exp, u_rad_s: float, t_total_s: float):
-    """Same, but against the band-limited reconstruction F-tilde."""
-    return 2.0 * u_rad_s * exp.reconstruct(crystal.rho, crystal.phi) * t_total_s
-
-
 # ---------------------------------------------------------------------------
 # segment bookkeeping
 
@@ -153,18 +149,31 @@ def instantaneous_coefficient(
 # exact route 1: panelized quadrature
 
 
+@lru_cache(maxsize=16)
+def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per count."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return x, w
+
+
 def _segment_phase_quadrature(
     segment: PulseSegment, crystal: IonCrystal, omega: float, abs_tol: float
 ) -> np.ndarray:
     """2 * integral of f_j dt for one segment, all ions, by Gauss-Legendre
     panels with node doubling.
 
-    Every beatnote and deformation order is an integer multiple of omega,
-    so f_j has period P = 2 pi / omega.  Writing the duration as
-    r P + tau with r = round(T / P) and tau in [-P/2, P/2], the integral is
-    r times the integral over [0, P] plus the integral over [0, tau] (a
-    signed interval, so negative tau carries negative weights).  Both
-    pieces use panels one fastest-beatnote period wide.
+    Every beatnote and deformation order is an integer multiple of omega;
+    with g their gcd, f_j repeats every base period P/g, P = 2 pi / omega.
+    Writing the duration as r P/g + tau with tau in [-P/(2g), P/(2g)], the
+    integral is r times the integral over [0, P/g] plus the integral over
+    [0, tau] (a signed interval, so negative tau carries negative weights).
+    Both pieces use panels P/fastest wide: one plus the remainder for an
+    order-m serial segment.  By angle addition delta_j(t) = delta0_j +
+    A_j . H(t), with A (J, 2M) per segment and H = [cos m omega t;
+    sin m omega t] per node, and the comb folds into f = U [cos(delta + psi)
+    C(t) + sin(delta + psi) S(t)], C and S its summed cos and sin
+    (mu omega t): two transcendental calls per (ion, node).
 
     Convergence is per ion: |fine - coarse| of the r-weighted total below
     abs_tol/2 plus a roundoff allowance proportional to the integral's
@@ -172,52 +181,42 @@ def _segment_phase_quadrature(
     mass whose float64 summation noise no amount of node refinement
     removes."""
     delta0, orders, even, odd = _segment_tables(segment, crystal.rho)
-    fastest = max([*segment.beatnotes, *orders], default=0)
-    duration = segment.duration_s
+    fastest = int(max([*segment.beatnotes, *orders], default=0))
     if fastest == 0:
         # drive is strictly time-independent: f * T, no quadrature needed
         f0 = segment.u_rad_s * len(segment.beatnotes) * np.cos(delta0 + segment.psi)
-        return 2.0 * f0 * duration
+        return 2.0 * f0 * segment.duration_s
 
+    g = math.gcd(*(int(k) for k in (*segment.beatnotes, *orders)))
     period = 2.0 * np.pi / omega
-    rotations = round(duration / period)
-    tau = duration - rotations * period
-    pieces = []  # (panel edges, weight scale)
-    for length, scale in ((period, rotations), (tau, 1.0)):
-        n = max(1, int(np.ceil(abs(length) / period * fastest)))
-        pieces.append((np.linspace(0.0, length, n + 1), scale))
-    n_panels = sum(edges.size - 1 for edges, _ in pieces)
+    base = period / g
+    r = round(segment.duration_s / base)
+    tau = segment.duration_s - r * base
+    panels = (fastest // g, max(1, math.ceil(abs(tau) / period * fastest)))
+    edges = (np.linspace(0.0, base, panels[0] + 1), np.linspace(0.0, tau, panels[1] + 1))
+    half = np.concatenate([0.5 * np.diff(piece) for piece in edges])  # per panel
+    mid = np.concatenate([0.5 * (piece[:-1] + piece[1:]) for piece in edges])
+    scaled_half = np.repeat([r, 1.0], panels) * half
 
-    phi = crystal.phi
-    even_m = np.array(even) if orders else np.zeros((0, phi.size))
-    odd_m = np.array(odd) if orders else np.zeros((0, phi.size))
-    ms = np.array(orders, dtype=float)
+    phi, ms = crystal.phi, np.array(orders, dtype=float)
+    e, o = np.array(even).reshape(-1, phi.size).T, np.array(odd).reshape(-1, phi.size).T
+    c, s = np.cos(np.outer(phi, ms)), np.sin(np.outer(phi, ms))  # (J, M)
+    amps = np.hstack([e * c + o * s, e * s - o * c])  # (J, 2M)
+    comb = np.array(segment.beatnotes, dtype=float)
 
     def integrate(nodes_per_panel: int):
-        x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
-        # map the reference nodes into every panel of both pieces
-        t, wt = [], []
-        for edges, scale in pieces:
-            half = 0.5 * np.diff(edges)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            t.append((mid[:, None] + half[:, None] * x[None, :]).ravel())
-            wt.append((scale * half[:, None] * w[None, :]).ravel())
-        t, wt = np.concatenate(t), np.concatenate(wt)
-        total = np.zeros(phi.size)
-        mass = np.zeros(phi.size)
+        x, w = _legendre_nodes(nodes_per_panel)  # mapped into every panel
+        t, wt = (mid[:, None] + half[:, None] * x).ravel(), (scaled_half[:, None] * w).ravel()
+        total, mass = np.zeros(phi.size), np.zeros(phi.size)
         for start in range(0, t.size, _NODE_BLOCK):
-            tb = t[start : start + _NODE_BLOCK]
             wb = wt[start : start + _NODE_BLOCK]
-            beta = phi[:, None] - omega * tb[None, :]  # (J, B)
-            delta = delta0[:, None] + np.zeros_like(beta)
-            for i in range(ms.size):
-                delta += even_m[i][:, None] * np.cos(ms[i] * beta)
-                delta += odd_m[i][:, None] * np.sin(ms[i] * beta)
-            f = np.zeros_like(beta)
-            for mult in segment.beatnotes:
-                f += np.cos(delta - (mult * omega) * tb[None, :] + segment.psi)
-            total += (f * wb[None, :]).sum(axis=1)
-            mass += (np.abs(f) * np.abs(wb)[None, :]).sum(axis=1)
+            omega_t = omega * t[start : start + _NODE_BLOCK]
+            arg = np.outer(ms, omega_t)
+            delta = (delta0 + segment.psi)[:, None] + amps @ np.vstack([np.cos(arg), np.sin(arg)])
+            arg = np.outer(comb, omega_t)
+            f = np.cos(delta) * np.cos(arg).sum(axis=0) + np.sin(delta) * np.sin(arg).sum(axis=0)
+            total += f @ wb
+            mass += np.abs(f) @ np.abs(wb)
         return 2.0 * segment.u_rad_s * total, 2.0 * segment.u_rad_s * mass
 
     nodes = _BASE_NODES
@@ -233,9 +232,10 @@ def _segment_phase_quadrature(
             worst = int(np.argmax(error / allowance))
             raise QuadratureError(
                 f"phase integral did not converge to {abs_tol:g} with {nodes} nodes "
-                f"per panel ({n_panels} panels; r = {rotations} rotations, "
-                f"tau/P = {tau / period:+.6f}): ion {worst} has |fine - coarse| = "
-                f"{error[worst]:.3e} against an allowance of {allowance[worst]:.3e}"
+                f"per panel ({sum(panels)} panels; g = {g}, r = {r} base periods "
+                f"P/{g}, tau/(P/{g}) = {tau / base:+.6f}): ion {worst} has "
+                f"|fine - coarse| = {error[worst]:.3e} against an allowance of "
+                f"{allowance[worst]:.3e}"
             )
         coarse = fine
 

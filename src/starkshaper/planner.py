@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -103,23 +104,23 @@ class RadialProfile:
     def __call__(self, rho) -> np.ndarray:
         return self.apply(self.argument(rho))
 
-
-def _argument_extremes(part: RadialProfile, label: str) -> tuple[np.ndarray, str | None]:
-    """The extremes of a part's transfer argument on the check grid,
-    clipped into the transfer's domain, and a message carrying the measured
-    value and the bound when the argument leaves that domain.  Because the
-    transfer is monotone, applying it to the extremes gives the part's."""
-    arg = part.argument(_CHECK_RHO)
-    lo, hi = float(np.min(arg)), float(np.max(arg))
-    bound = _TRANSFER_BOUND[part.transfer]
-    reach = max(-lo, hi)
-    problem = None
-    if reach > bound:
-        problem = (
-            f"{label}: |{part.transfer} argument| reaches {reach:.6f} > {bound:.6f} "
-            f"at rho = {_CHECK_RHO[int(np.argmax(np.abs(arg)))]:.4f}"
-        )
-    return np.clip([lo, hi], -bound, bound), problem
+    @cached_property
+    def extremes(self) -> tuple[tuple[float, float], str | None]:
+        """The extremes of the transfer argument on the check grid, clipped
+        into the transfer's domain, and a message carrying the measured
+        value and the bound when the argument leaves that domain.  Because
+        the transfer is monotone, applying it to the extremes gives the
+        part's.  Evaluated once per record; planning and validation share it."""
+        arg = self.argument(_CHECK_RHO)
+        lo, hi = float(np.min(arg)), float(np.max(arg))
+        bound = _TRANSFER_BOUND[self.transfer]
+        problem = None
+        if max(-lo, hi) > bound:
+            problem = (
+                f"|{self.transfer} argument| reaches {max(-lo, hi):.6f} > {bound:.6f} "
+                f"at rho = {_CHECK_RHO[int(np.argmax(np.abs(arg)))]:.4f}"
+            )
+        return tuple(np.clip([lo, hi], -bound, bound)), problem
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,16 +169,12 @@ class PulseSegment:
     psi: float
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ConfigError(f"segment duration must be positive, got {self.duration_s}")
-        if self.u_rad_s <= 0:
-            raise ConfigError(f"segment strength must be positive, got {self.u_rad_s}")
+        for field in ("duration_s", "u_rad_s"):
+            value = getattr(self, field)
+            if not 0 < value < np.inf:  # also refuses NaN
+                raise ConfigError(f"segment {field} must be positive and finite, got {value}")
         if any(b < 0 or b != int(b) for b in self.beatnotes):
             raise ConfigError(f"beatnote multipliers must be non-negative integers: {self.beatnotes}")
-
-    def mu_values(self, omega_rad_s: float) -> tuple[float, ...]:
-        """Beatnote angular frequencies in rad/s."""
-        return tuple(b * omega_rad_s for b in self.beatnotes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +190,8 @@ class PulseSchedule:
     def __post_init__(self) -> None:
         if self.mode not in ("serial", "parallel"):
             raise ConfigError(f"unknown schedule mode {self.mode!r}")
-        if self.omega_rad_s <= 0:
-            raise ConfigError("rotation frequency must be positive")
+        if not 0 < self.omega_rad_s < np.inf:  # also refuses NaN
+            raise ConfigError(f"omega_rad_s must be positive and finite, got {self.omega_rad_s}")
         if not self.segments:
             raise ConfigError("schedule has no segments")
         if self.mode == "parallel" and len(self.segments) != 1:
@@ -225,18 +222,19 @@ def plan_serial(
         raise ConfigError(
             f"U, omega and the pattern peak must be positive, got {u_rad_s}, {omega_rad_s}, {pattern_peak}"
         )
-    parts = []
-    for m, parity, coeffs in _planned_parts(exp):
+
+    def precompensated(m: int, coeffs: np.ndarray) -> RadialProfile:
         if m == 0:  # cos(delta + psi) = A P0
-            part = RadialProfile(0, coeffs, "arccos", exp.amplitude, -psi)
-        else:  # J1(delta) = A Pm (or A Qm)
-            part = RadialProfile(m, coeffs, "j1inv", exp.amplitude)
-        _, problem = _argument_extremes(part, f"{parity} component m={m}")
-        if problem:
+            return RadialProfile(0, coeffs, "arccos", exp.amplitude, -psi)
+        return RadialProfile(m, coeffs, "j1inv", exp.amplitude)  # J1(delta) = A Pm (or A Qm)
+
+    parts = _planned_parts(exp, precompensated)
+    for m, parity, part in parts:
+        if part.extremes[1]:
             raise PrecompensationRangeError(
-                f"precompensation out of range for {problem}; reduce the pattern amplitude"
+                f"precompensation out of range for {parity} component m={m}: "
+                f"{part.extremes[1]}; reduce the pattern amplitude"
             )
-        parts.append((m, parity, part))
 
     rotating = any(m > 0 for m, _, _ in parts)
     t_base = np.pi / (2.0 * u_rad_s * pattern_peak)
@@ -281,10 +279,14 @@ def plan_parallel(
         raise ConfigError(
             f"U, omega and the pattern peak must be positive, got {u_rad_s}, {omega_rad_s}, {pattern_peak}"
         )
-    by_order: dict[int, dict[str, RadialProfile]] = {}
-    for m, parity, coeffs in _planned_parts(exp):
+
+    def linear(m: int, coeffs: np.ndarray) -> RadialProfile:
         scale = 0.5 * exp.amplitude if m == 0 else exp.amplitude
-        by_order.setdefault(m, {})[parity] = RadialProfile(m, coeffs, "linear", scale)
+        return RadialProfile(m, coeffs, "linear", scale)
+
+    by_order: dict[int, dict[str, RadialProfile]] = {}
+    for m, parity, part in _planned_parts(exp, linear):
+        by_order.setdefault(m, {})[parity] = part
     comb = tuple(by_order)
 
     t_base = np.pi / (u_rad_s * pattern_peak)  # U_eff = U/2
@@ -309,16 +311,19 @@ def plan_parallel(
     )
 
 
-def _planned_parts(exp: ZernikeExpansion) -> list[tuple[int, str, np.ndarray]]:
-    """(m, parity, coefficients) of every radial part whose amplitude-scaled
-    profile exceeds the component floor on the check grid; m ascending,
-    even before odd."""
+def _planned_parts(exp: ZernikeExpansion, part_for) -> list[tuple[int, str, RadialProfile]]:
+    """(m, parity, part_for(m, coefficients)) of every radial part whose
+    transfer argument exceeds the component floor on the check grid; m
+    ascending, even before odd.  The test reads the record's extremes,
+    which the range checks and validate_schedule then reuse."""
     parts = []
     for m in exp.active_orders(floor=_COMPONENT_FLOOR):
         for parity, coeffs in (("even", exp.cos[m]), ("odd", exp.sin[m])):
-            vals = exp.amplitude * zernike_radial_sum(m, coeffs, _CHECK_RHO)
-            if np.max(np.abs(vals)) > _COMPONENT_FLOOR:
-                parts.append((m, parity, coeffs))
+            if not coeffs.size:  # sin[0]
+                continue
+            part = part_for(m, coeffs)
+            if np.max(np.abs(part.extremes[0])) > _COMPONENT_FLOOR:
+                parts.append((m, parity, part))
     if not parts:
         raise ConfigError("expansion has no components above threshold; nothing to plan")
     return parts
@@ -362,10 +367,10 @@ def validate_schedule(schedule: PulseSchedule, omega_rad_s: float | None = None)
             for part_name, part in (("even", comp.even), ("odd", comp.odd)):
                 if part is None:
                     continue
-                ends, problem = _argument_extremes(part, f"segment {i}: {part_name} m={comp.m}")
+                ends, problem = part.extremes
                 if problem:
-                    warnings.append(problem)
-                stroke = float(np.max(np.abs(part.apply(ends))))
+                    warnings.append(f"segment {i}: {part_name} m={comp.m}: {problem}")
+                stroke = float(np.max(np.abs(part.apply(np.array(ends)))))
                 max_stroke = max(max_stroke, stroke)
                 if schedule.mode == "serial" and comp.m > 0:
                     margin = J1_PEAK_X - stroke

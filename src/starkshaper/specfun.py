@@ -122,12 +122,6 @@ def _fit_inverse_j1_guess() -> Chebyshev:
 _J1_INVERSE_GUESS = _fit_inverse_j1_guess()
 
 
-def j1_peak() -> tuple[float, float]:
-    """(argmax, max) of J1 on [0, 3], by golden-section search plus a
-    Newton polish on J1' = 0."""
-    return J1_PEAK_X, J1_PEAK_VALUE
-
-
 def inverse_j1(y) -> np.ndarray | float:
     """Invert J1 on its principal monotone branch [0, J1_PEAK_X].
 

@@ -370,6 +370,29 @@ simulation: {tolerance: 1.0e-12, threads: 4}
         assert res.exit_code == 2
         assert "0.700000" in res.output and f"{J1_PEAK_VALUE:.6f}" in res.output
 
+    @pytest.mark.parametrize("field", ["duration_s", "u_rad_s", "omega_rad_s"])
+    def test_nan_in_schedule_is_exit_2_naming_the_field(self, runner, tmp_path, field):
+        cfg = write_yaml(tmp_path / "run.yaml", SMALL_ANNULUS_YAML)
+        omega = 2 * np.pi * 1.8e5
+        seg = PulseSegment(
+            deformation=MirrorDeformation((DeformationComponent(2, even=RadialProfile(2, (0.1,))),)),
+            beatnotes=(2,), duration_s=3 * 2 * np.pi / omega, u_rad_s=1e4, psi=-np.pi / 2,
+        )
+        sched = PulseSchedule(
+            mode="serial", omega_rad_s=omega, segments=(seg,),
+            target_u_rad_s=1e4, gate_time_s=seg.duration_s, amplitude=0.1,
+        )
+        payload = schedule_to_json_dict(sched)
+        record = payload if field == "omega_rad_s" else payload["segments"][0]
+        record[field] = float("nan")
+        (tmp_path / "schedule.json").write_text(json.dumps(payload))
+        res = runner.invoke(main, [
+            "simulate", "--config", cfg, "--schedule", str(tmp_path / "schedule.json"),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 2, res.output
+        assert f"{field} must be positive and finite, got nan" in res.output
+
     @pytest.mark.parametrize("text", [
         '{"amplitude": 1.0, "n_max": 4, "m_max": 2, "coefficients": [{"n": 6, "m": 2, "alpha": 1.0}]}',
         '{"amplitude": 1.0, "n_max": 4, "m_max": 2, "coefficients": [{"n": 3, "m": 0, "alpha": 1.0}]}',

@@ -19,7 +19,6 @@ from starkshaper.dynamics import (
     infidelity,
     instantaneous_coefficient,
     target_phases,
-    target_phases_from_expansion,
     write_evolution_csv,
 )
 from starkshaper.errors import QuadratureError
@@ -116,7 +115,7 @@ class TestTargets:
     def test_expansion_targets_use_reconstruction(self):
         pat = annulus(1.0)
         exp = decompose(pat, 18, 0)
-        t_exp = target_phases_from_expansion(CRYSTAL, exp, U0, 25e-6)
+        t_exp = 2.0 * U0 * exp.reconstruct(CRYSTAL.rho, CRYSTAL.phi) * 25e-6
         t_pat = target_phases(CRYSTAL, pat, U0, 25e-6)
         # band-limited target differs from the true one by the truncation error
         assert 0 < np.max(np.abs(t_exp - t_pat)) < 2.0 * U0 * 25e-6 * 0.1
@@ -182,6 +181,43 @@ class TestQuadratureVsSeries:
         series = evolve_exact_bessel(CRYSTAL, sched, n_terms=30)
         assert np.max(np.abs(quad.theta - series.theta)) < 1e-10
 
+    @pytest.mark.parametrize("orders, beatnotes", [
+        ((2, 4), (0, 2, 4)),  # g = 2: the drive repeats every half period
+        ((2, 3), (0, 2)),  # g = 1, set by the orders
+        ((2, 4), (0, 3)),  # g = 1, set by the comb
+    ], ids=["g2", "g1-orders", "g1-comb"])
+    def test_comb_segment_matches_dense_direct_quadrature(self, orders, beatnotes):
+        # mixed parity, several orders, a static m = 0 part and a comb with
+        # a beatnote at 0, over a duration that is no whole number of base
+        # periods; the reference integrates instantaneous_coefficient ion
+        # by ion with panels that ignore the period structure
+        comps = [DeformationComponent(0, even=RadialProfile(0, (0.2, 0.05)))]
+        comps += [
+            DeformationComponent(m, even=monomial(0.3 / m, m), odd=monomial(0.1, m))
+            for m in orders
+        ]
+        duration = 7.3 * PERIOD
+        seg = PulseSegment(
+            deformation=MirrorDeformation(tuple(comps)), beatnotes=beatnotes,
+            duration_s=duration, u_rad_s=U0, psi=0.4,
+        )
+        sched = PulseSchedule(
+            mode="parallel", omega_rad_s=OMEGA, segments=(seg,),
+            target_u_rad_s=U0 / 2, gate_time_s=duration, amplitude=0.3,
+        )
+        quad = evolve_exact(CRYSTAL, sched, tol=1e-12)
+
+        x, w = np.polynomial.legendre.leggauss(16)
+        edges = np.linspace(0.0, duration, 301)
+        half = 0.5 * np.diff(edges)[:, None]
+        t = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
+        wt = (half * w).ravel()
+        reference = np.array([
+            2.0 * instantaneous_coefficient(seg, rho, phi, OMEGA, t) @ wt
+            for rho, phi in zip(CRYSTAL.rho, CRYSTAL.phi)
+        ])
+        assert np.max(np.abs(quad.theta - reference)) < 1e-9
+
     def test_series_rejects_unsupported_schedules(self):
         comp_odd = DeformationComponent(2, odd=monomial(0.2, 2))
         seg = PulseSegment(
@@ -227,9 +263,11 @@ class TestQuadratureVsSeries:
         with pytest.raises(QuadratureError) as info:
             evolve_exact(CRYSTAL, sched, tol=1e-12)
         message = str(info.value)
-        # three panels per period plus one for the 0.3-period remainder
-        assert "4 nodes per panel (4 panels" in message
-        assert "r = 18 rotations" in message and "tau/P = +0.300000" in message
+        # g = 3: 18.3 P is 55 base periods P/3 minus 0.1 of one, so one
+        # panel for the base period plus one for the remainder
+        assert "4 nodes per panel (2 panels" in message
+        assert "g = 3, r = 55 base periods P/3" in message
+        assert "tau/(P/3) = -0.100000" in message
         match = re.search(
             r"ion (\d+) has \|fine - coarse\| = (\S+) against an allowance of (\S+)$",
             message,

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from starkshaper import planner
 from starkshaper.crystal import generate_hex_crystal
 from starkshaper.dynamics import evolve_exact
 from starkshaper.errors import ConfigError, PrecompensationRangeError
@@ -328,3 +329,21 @@ class TestStructuralValidation:
         )
         with pytest.raises(ConfigError):
             plan_serial(exp, U0, OMEGA, pattern_peak=1.0)
+
+    @pytest.mark.parametrize("plan", [plan_serial, plan_parallel])
+    def test_plan_and_validate_evaluate_each_part_once_on_the_check_grid(self, plan, monkeypatch):
+        pat = DisplacedGaussianPattern(amplitude=0.3)
+        exp = _expansion(pat, 16, 5)
+        grid_sizes = []
+        real_sum = planner.zernike_radial_sum
+
+        def counting_sum(m, coeffs, rho):
+            grid_sizes.append(np.size(rho))
+            return real_sum(m, coeffs, rho)
+
+        monkeypatch.setattr(planner, "zernike_radial_sum", counting_sum)
+        s = plan(exp, U0, OMEGA, pattern_peak=pat.peak_value())
+        candidates = sum(t[m].size > 0 for m in exp.active_orders(1e-12) for t in (exp.cos, exp.sin))
+        assert grid_sizes == [planner._CHECK_RHO.size] * candidates
+        assert validate_schedule(s).ok
+        assert len(grid_sizes) == candidates  # validation reuses the planned records' ranges

@@ -10,7 +10,6 @@ from starkshaper.specfun import (
     ZernikeIndex,
     bessel_j,
     inverse_j1,
-    j1_peak,
     zernike_eval,
     zernike_radial,
     zernike_radial_stack,
@@ -65,7 +64,7 @@ class TestBesselJ:
 
 class TestJ1Peak:
     def test_peak_location_and_value(self):
-        xp, vp = j1_peak()
+        xp, vp = J1_PEAK_X, J1_PEAK_VALUE
         # independent: scipy evaluated at the located abscissa, plus the
         # derivative root condition J0 = J2
         assert special.jv(1, xp) == pytest.approx(vp, abs=1e-15)
@@ -74,7 +73,8 @@ class TestJ1Peak:
         assert 1.84 < xp < 1.842
 
     def test_module_constants_are_the_peak(self):
-        assert (J1_PEAK_X, J1_PEAK_VALUE) == j1_peak()
+        assert bessel_j(1, J1_PEAK_X) == J1_PEAK_VALUE
+        assert J1_PEAK_VALUE >= np.max(bessel_j(1, J1_PEAK_X + np.linspace(-1e-3, 1e-3, 21)))
 
 
 class TestInverseJ1:
