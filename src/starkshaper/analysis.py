@@ -8,7 +8,8 @@ Three layers on top of the compiler/simulator stack:
   * two focused numerical studies: `rwa_study` (exact vs rotating-wave
     spin phase for a single rim ion swept over rotation frequencies) and
     `worst_case_parallel_pair` (the most pessimistic two-order beatnote
-    comb, exact vs first-order target);
+    comb, exact vs first-order target), both integrated by the dynamics
+    module's quadrature, so the package has one time-domain integrator;
   * `run_scenario`, the full pipeline pattern -> decompose -> plan ->
     evolve -> compare against the ideal target, for the named reference
     scenarios, with deterministic CSV/JSON artifact emission.
@@ -27,14 +28,14 @@ import numpy as np
 from .crystal import IonCrystal, generate_hex_crystal, save_crystal_csv
 from .dynamics import (
     EvolutionResult,
+    _panel_phases,
     evolve_exact,
     evolve_rwa,
     infidelity,
-    instantaneous_coefficient,
     target_phases,
     write_evolution_csv,
 )
-from .errors import ConfigError, QuadratureError
+from .errors import ConfigError
 from .patterns import TargetPattern, make_pattern
 from .planner import (
     DEFAULT_PSI,
@@ -62,10 +63,6 @@ DEFAULT_CRYSTAL_SPACING = 0.2
 
 HISTOGRAM_LOG10_MIN = -18.0
 HISTOGRAM_BIN_WIDTH = 0.5
-
-_STUDY_BASE_NODES = 24
-_STUDY_MAX_NODES = 768
-
 
 # ---------------------------------------------------------------------------
 # infidelity budgets
@@ -157,39 +154,6 @@ class RwaStudy:
     series: tuple[RwaSeries, ...]
 
 
-def _cumulative_theta(segment: PulseSegment, omega_rad_s: float, times: np.ndarray,
-                      tol: float = 1e-12) -> np.ndarray:
-    """Spin phase theta(t) = 2 * integral of the drive, at the rim probe
-    ion (rho, phi) = (1, 0), evaluated at each requested time.
-
-    Gauss-Legendre on each inter-sample interval with node doubling until
-    the cumulative phase stops moving.
-    """
-    ts = np.asarray(times, dtype=float)
-    if np.any(ts < 0) or np.any(np.diff(ts) <= 0):
-        raise ValueError("study times must be nonnegative and strictly increasing")
-    prepend_zero = ts[0] > 0.0
-    edges = np.concatenate(([0.0], ts)) if prepend_zero else ts
-    a, b = edges[:-1], edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-
-    prev = None
-    nodes = _STUDY_BASE_NODES
-    while nodes <= _STUDY_MAX_NODES:
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        t_nodes = mid[:, None] + half[:, None] * x[None, :]
-        f = instantaneous_coefficient(segment, 1.0, 0.0, omega_rad_s, t_nodes)
-        theta = 2.0 * np.cumsum(half * (f @ w))
-        if prev is not None and float(np.max(np.abs(theta - prev))) < tol:
-            return theta if prepend_zero else np.concatenate(([0.0], theta))
-        prev = theta
-        nodes *= 2
-    raise QuadratureError(
-        f"study integral not converged at {_STUDY_MAX_NODES} nodes per interval"
-    )
-
-
 def rwa_study(
     omega_list,
     u_rad_s: float,
@@ -204,9 +168,10 @@ def rwa_study(
     rotation frequency in `omega_list`.
 
     The RWA reference is theta_rwa(t) = 2 U J1(A) sin(m phi - psi) t.  The
-    window defaults to 2.5x the RWA pi-time, sampled uniformly; the crystal
-    rotation periods inside the window are integrated separately and
-    reported as the commensurate checkpoints.
+    window defaults to 2.5x the RWA pi-time, sampled uniformly.  The exact
+    phase goes through evolve_exact's integrator, one panel per sample
+    interval; the commensurate checkpoints, the whole rotation periods
+    inside the window, are multiples of one period's phase.
     """
     omegas = [float(w) for w in np.atleast_1d(np.asarray(omega_list, dtype=float))]
     if not omegas or any(w <= 0 for w in omegas):
@@ -231,23 +196,32 @@ def rwa_study(
     times = np.linspace(0.0, t_max_s, sample_count)
     deformation = MirrorDeformation((DeformationComponent(m, even=RadialProfile(0, (amplitude,))),))
 
+    # the rim probe ion; each sample interval is one panel counted once, and
+    # the sample phases, every partial sum included, are certified to 1e-12
+    rim = (np.ones(1), np.zeros(1))
+    steps = (0.5 * (times[:-1] + times[1:]), 0.5 * np.diff(times), np.ones(sample_count - 1))
     out = []
     for omega in omegas:
         segment = PulseSegment(
             deformation=deformation, beatnotes=(m,), duration_s=t_max_s,
             u_rad_s=u_rad_s, psi=psi,
         )
-        theta = _cumulative_theta(segment, omega, times[1:])
-        theta = np.concatenate(([0.0], theta))
+        theta = np.concatenate(([0.0], np.cumsum(_panel_phases(
+            segment, *rim, omega, steps, 1e-12, f"{sample_count - 1} sample intervals",
+        )[0])))
         theta_rwa = rwa_rate * times
         infid = infidelity(theta, theta_rwa)
 
+        # the r P rule: checkpoint k is k times the phase of one period
         period = TWO_PI / omega
-        n_comm = int(np.floor(t_max_s / period + 1e-9))
-        t_comm = period * np.arange(1, n_comm + 1)
-        if n_comm:
-            theta_comm = _cumulative_theta(segment, omega, t_comm)
-            infid_comm = infidelity(theta_comm, rwa_rate * t_comm)
+        k = np.arange(1, int(np.floor(t_max_s / period + 1e-9)) + 1)
+        t_comm = period * k
+        if k.size:
+            theta_period = _panel_phases(
+                segment, *rim, omega, ([0.5 * period], [0.5 * period], [k.size]), 1e-12,
+                f"one rotation period counted {k.size} times",
+            )[0, 0]
+            infid_comm = infidelity(theta_period * k, rwa_rate * t_comm)
         else:
             infid_comm = np.zeros(0)
         edges, counts = infidelity_histogram(infid)
@@ -479,9 +453,6 @@ def run_scenario(
     name: str,
     mode: str,
     tier: float,
-    u_rad_s: float = DEFAULT_U_RAD_S,
-    omega_rad_s: float = DEFAULT_OMEGA_RAD_S,
-    psi: float = DEFAULT_PSI,
     crystal: IonCrystal | None = None,
     tol: float = 1e-12,
     out_dir: str | Path | None = None,
@@ -504,9 +475,9 @@ def run_scenario(
 
     planner = plan_serial if mode == "serial" else plan_parallel
     schedule = planner(
-        expansion, u_rad_s, omega_rad_s, psi=psi, pattern_peak=pattern.peak_value()
+        expansion, DEFAULT_U_RAD_S, DEFAULT_OMEGA_RAD_S, pattern_peak=pattern.peak_value()
     )
-    report = validate_schedule(schedule, omega_rad_s)
+    report = validate_schedule(schedule, DEFAULT_OMEGA_RAD_S)
 
     result = evolve_exact(crystal, schedule, tol=tol)
     theta_target = target_phases(
@@ -530,9 +501,9 @@ def run_scenario(
             "amplitude": spec.amplitude,
             "n_max": spec.n_max,
             "m_max": spec.m_max,
-            "u_rad_s": u_rad_s,
-            "omega_rad_s": omega_rad_s,
-            "psi": psi,
+            "u_rad_s": DEFAULT_U_RAD_S,
+            "omega_rad_s": DEFAULT_OMEGA_RAD_S,
+            "psi": DEFAULT_PSI,
             "ion_count": len(crystal),
             "tolerance": tol,
         },
@@ -576,8 +547,6 @@ def write_scenario_artifacts(report: ScenarioReport, out_dir: str | Path) -> Non
 def reproduce_figure(
     figure_id: str,
     out_dir: str | Path,
-    u_rad_s: float = DEFAULT_U_RAD_S,
-    omega_rad_s: float = DEFAULT_OMEGA_RAD_S,
     tol: float = 1e-12,
 ) -> list[ScenarioReport]:
     """Run every scenario backing one figure id (fig3..fig12), or each
@@ -594,8 +563,5 @@ def reproduce_figure(
     reports = []
     for name, mode, tier in runs:
         sub = Path(out_dir) / f"{name}_{mode}_{tier:g}"
-        reports.append(run_scenario(
-            name, mode, tier, u_rad_s=u_rad_s, omega_rad_s=omega_rad_s,
-            tol=tol, out_dir=sub,
-        ))
+        reports.append(run_scenario(name, mode, tier, tol=tol, out_dir=sub))
     return reports

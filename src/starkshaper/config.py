@@ -142,6 +142,11 @@ class RunConfig:
     rwa: dict | None = None
 
     def __post_init__(self) -> None:
+        # jsonschema's exclusiveMinimum lets NaN through, so check here
+        for key in ("pattern_amplitude", "psi", "u_rad_s", "omega_rad_s", "tolerance"):
+            value = getattr(self, key)
+            if not np.isfinite(value):
+                raise ConfigError(f"config {key} must be finite, got {value}")
         if self.m_max > self.n_max:
             raise ConfigError(
                 f"decomposition needs n_max >= m_max, got n_max={self.n_max}, "

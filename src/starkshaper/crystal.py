@@ -1,15 +1,14 @@
 """Ion-crystal geometry: hexagonal lattice generation, rotating-frame to
-lab-frame transforms, and the crystal CSV interchange.
+lab-frame transforms, and the crystal CSV export.
 
 An IonCrystal stores rotating-frame polar positions (rho_i, phi_i) with the
 disk radius normalized to 1.  The crystal rotates rigidly, so the lab-frame
 azimuth is phi_i - omega * t; omega itself travels with the schedule/config,
-not the crystal (the CSV interchange format has no field for it).
+not the crystal (the CSV has no field for it).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,26 +92,3 @@ def save_crystal_csv(crystal: IonCrystal, path: str | Path) -> None:
         fh.write("index,rho,phi\n")
         for i, (r, p) in enumerate(zip(crystal.rho, crystal.phi)):
             fh.write(f"{i},{r:.17g},{p:.17g}\n")
-
-
-def load_crystal_csv(path: str | Path) -> IonCrystal:
-    path = Path(path)
-    rows: list[tuple[int, float, float]] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["index", "rho", "phi"]:
-            raise ConfigError(f"{path}: expected header 'index,rho,phi'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append((int(row[0]), float(row[1]), float(row[2])))
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"{path}:{line_no}: malformed row {row!r}") from exc
-    if not rows:
-        raise ConfigError(f"{path}: no ions")
-    rows.sort(key=lambda r: r[0])
-    if [r[0] for r in rows] != list(range(len(rows))):
-        raise ConfigError(f"{path}: ion indices must be 0..N-1 without gaps")
-    return IonCrystal(np.array([r[1] for r in rows]), np.array([r[2] for r in rows]))

@@ -22,6 +22,10 @@ cross-check each other:
   evolve_rwa           static (secular) terms only: the full Bessel-product
                        sum for serial schedules, the first-order-in-amplitude
                        form for parallel ones
+
+_panel_phases is the package's one time-domain integrator: evolve_exact
+hands it a segment's base-period and remainder panels, and
+analysis.rwa_study its sample intervals and one rotation period.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ class EvolutionResult:
 
     def __post_init__(self) -> None:
         norm = self.sigma_x**2 + self.sigma_y**2
-        if np.max(np.abs(norm - 1.0)) > 1e-12:
+        if not np.all(np.abs(norm - 1.0) <= 1e-12):  # NaN fails too
             raise ValueError("Bloch vector left the equator: sigma_x^2 + sigma_y^2 != 1")
 
     def with_targets(self, theta_target: np.ndarray) -> "EvolutionResult":
@@ -157,33 +161,90 @@ def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _segment_phase_quadrature(
+def _panel_phases(
+    segment: PulseSegment, rho: np.ndarray, phi: np.ndarray, omega: float,
+    panels: tuple[np.ndarray, np.ndarray, np.ndarray], tol: float, where: str,
+) -> np.ndarray:
+    """2 * integral of f over each panel at each probe point (rho, phi):
+    the one Gauss-Legendre integrator, returning (points, panels) phases.
+
+    `panels` is (centre, half-width, weight) per panel; a negative
+    half-width integrates backwards in time, and the weight says how often
+    the caller counts the panel.  By angle addition delta(t) = delta0 +
+    A . H(t), with A (J, 2M) per segment and H = [cos m omega t;
+    sin m omega t] per node, and the comb folds into f = U [cos(delta + psi)
+    C(t) + sin(delta + psi) S(t)], C and S its summed cos and sin
+    (mu omega t): two transcendental calls per (point, node).
+
+    Nodes per panel double from _BASE_NODES until, for every point,
+    sum_p |w_p| |fine_p - coarse_p| < tol/2 + 128 eps sum_p |w_p| mass_p,
+    mass_p being the panel's integral of |f| -- long segments carry
+    hundreds of radians of L1 mass whose float64 summation noise no node
+    refinement removes.  The rule bounds the weighted total and every
+    partial sum of it.  `where` describes the panels in the error."""
+    delta0, orders, even, odd = _segment_tables(segment, rho)
+    ms = np.array(orders, dtype=float)
+    e, o = np.array(even).reshape(-1, phi.size).T, np.array(odd).reshape(-1, phi.size).T
+    c, s = np.cos(np.outer(phi, ms)), np.sin(np.outer(phi, ms))  # (J, M)
+    amps = np.hstack([e * c + o * s, e * s - o * c])  # (J, 2M)
+    comb = np.array(segment.beatnotes, dtype=float)
+    mid, half, weight = (np.asarray(a, dtype=float) for a in panels)
+    counted = np.abs(weight)
+    scale = 2.0 * segment.u_rad_s
+
+    def integrate(nodes_per_panel: int):
+        x, w = _legendre_nodes(nodes_per_panel)  # mapped into every panel
+        phase, mass = np.empty((phi.size, mid.size)), np.empty((phi.size, mid.size))
+        step = max(1, _NODE_BLOCK // nodes_per_panel)  # whole panels per block
+        for start in range(0, mid.size, step):
+            block = slice(start, start + step)
+            omega_t = omega * (mid[block, None] + half[block, None] * x).ravel()
+            arg = np.outer(ms, omega_t)
+            delta = (delta0 + segment.psi)[:, None] + amps @ np.vstack([np.cos(arg), np.sin(arg)])
+            arg = np.outer(comb, omega_t)
+            f = np.cos(delta) * np.cos(arg).sum(axis=0) + np.sin(delta) * np.sin(arg).sum(axis=0)
+            f = f.reshape(-1, nodes_per_panel)  # one row per (point, panel)
+            phase[:, block] = scale * half[block] * (f @ w).reshape(phi.size, -1)
+            mass[:, block] = scale * np.abs(half[block]) * (np.abs(f) @ w).reshape(phi.size, -1)
+        return phase, mass
+
+    nodes = _BASE_NODES
+    coarse, _ = integrate(nodes)
+    while True:
+        nodes *= 2
+        fine, mass = integrate(nodes)
+        allowance = 0.5 * tol + _ROUNDOFF_MASS_FACTOR * np.finfo(float).eps * (mass @ counted)
+        error = np.abs(fine - coarse) @ counted
+        if np.all(error < allowance):
+            return fine
+        if nodes >= _MAX_NODES:
+            worst = int(np.argmax(error / allowance))
+            raise QuadratureError(
+                f"phase integral did not converge to {tol:g} with {nodes} nodes "
+                f"per panel ({mid.size} panels; {where}): ion {worst} has "
+                f"|fine - coarse| = {error[worst]:.3e} against an allowance of "
+                f"{allowance[worst]:.3e}"
+            )
+        coarse = fine
+
+
+def _segment_phase(
     segment: PulseSegment, crystal: IonCrystal, omega: float, abs_tol: float
 ) -> np.ndarray:
-    """2 * integral of f_j dt for one segment, all ions, by Gauss-Legendre
-    panels with node doubling.
+    """2 * integral of f_j dt for one segment, all ions.
 
     Every beatnote and deformation order is an integer multiple of omega;
     with g their gcd, f_j repeats every base period P/g, P = 2 pi / omega.
     Writing the duration as r P/g + tau with tau in [-P/(2g), P/(2g)], the
     integral is r times the integral over [0, P/g] plus the integral over
-    [0, tau] (a signed interval, so negative tau carries negative weights).
-    Both pieces use panels P/fastest wide: one plus the remainder for an
-    order-m serial segment.  By angle addition delta_j(t) = delta0_j +
-    A_j . H(t), with A (J, 2M) per segment and H = [cos m omega t;
-    sin m omega t] per node, and the comb folds into f = U [cos(delta + psi)
-    C(t) + sin(delta + psi) S(t)], C and S its summed cos and sin
-    (mu omega t): two transcendental calls per (ion, node).
-
-    Convergence is per ion: |fine - coarse| of the r-weighted total below
-    abs_tol/2 plus a roundoff allowance proportional to the integral's
-    accumulated |f| mass -- long segments carry hundreds of radians of L1
-    mass whose float64 summation noise no amount of node refinement
-    removes."""
-    delta0, orders, even, odd = _segment_tables(segment, crystal.rho)
+    [0, tau] (a signed interval, so negative tau carries negative
+    half-widths).  Both pieces use panels P/fastest wide: one plus the
+    remainder for an order-m serial segment."""
+    orders = [comp.m for comp in segment.deformation.components if comp.m != 0]
     fastest = int(max([*segment.beatnotes, *orders], default=0))
     if fastest == 0:
         # drive is strictly time-independent: f * T, no quadrature needed
+        delta0 = _segment_tables(segment, crystal.rho)[0]
         f0 = segment.u_rad_s * len(segment.beatnotes) * np.cos(delta0 + segment.psi)
         return 2.0 * f0 * segment.duration_s
 
@@ -192,52 +253,16 @@ def _segment_phase_quadrature(
     base = period / g
     r = round(segment.duration_s / base)
     tau = segment.duration_s - r * base
-    panels = (fastest // g, max(1, math.ceil(abs(tau) / period * fastest)))
-    edges = (np.linspace(0.0, base, panels[0] + 1), np.linspace(0.0, tau, panels[1] + 1))
-    half = np.concatenate([0.5 * np.diff(piece) for piece in edges])  # per panel
+    counts = (fastest // g, max(1, math.ceil(abs(tau) / period * fastest)))
+    edges = (np.linspace(0.0, base, counts[0] + 1), np.linspace(0.0, tau, counts[1] + 1))
+    half = np.concatenate([0.5 * np.diff(piece) for piece in edges])
     mid = np.concatenate([0.5 * (piece[:-1] + piece[1:]) for piece in edges])
-    scaled_half = np.repeat([r, 1.0], panels) * half
-
-    phi, ms = crystal.phi, np.array(orders, dtype=float)
-    e, o = np.array(even).reshape(-1, phi.size).T, np.array(odd).reshape(-1, phi.size).T
-    c, s = np.cos(np.outer(phi, ms)), np.sin(np.outer(phi, ms))  # (J, M)
-    amps = np.hstack([e * c + o * s, e * s - o * c])  # (J, 2M)
-    comb = np.array(segment.beatnotes, dtype=float)
-
-    def integrate(nodes_per_panel: int):
-        x, w = _legendre_nodes(nodes_per_panel)  # mapped into every panel
-        t, wt = (mid[:, None] + half[:, None] * x).ravel(), (scaled_half[:, None] * w).ravel()
-        total, mass = np.zeros(phi.size), np.zeros(phi.size)
-        for start in range(0, t.size, _NODE_BLOCK):
-            wb = wt[start : start + _NODE_BLOCK]
-            omega_t = omega * t[start : start + _NODE_BLOCK]
-            arg = np.outer(ms, omega_t)
-            delta = (delta0 + segment.psi)[:, None] + amps @ np.vstack([np.cos(arg), np.sin(arg)])
-            arg = np.outer(comb, omega_t)
-            f = np.cos(delta) * np.cos(arg).sum(axis=0) + np.sin(delta) * np.sin(arg).sum(axis=0)
-            total += f @ wb
-            mass += np.abs(f) @ np.abs(wb)
-        return 2.0 * segment.u_rad_s * total, 2.0 * segment.u_rad_s * mass
-
-    nodes = _BASE_NODES
-    coarse, _ = integrate(nodes)
-    while True:
-        nodes *= 2
-        fine, mass = integrate(nodes)
-        allowance = 0.5 * abs_tol + _ROUNDOFF_MASS_FACTOR * np.finfo(float).eps * mass
-        error = np.abs(fine - coarse)
-        if np.all(error < allowance):
-            return fine
-        if nodes >= _MAX_NODES:
-            worst = int(np.argmax(error / allowance))
-            raise QuadratureError(
-                f"phase integral did not converge to {abs_tol:g} with {nodes} nodes "
-                f"per panel ({sum(panels)} panels; g = {g}, r = {r} base periods "
-                f"P/{g}, tau/(P/{g}) = {tau / base:+.6f}): ion {worst} has "
-                f"|fine - coarse| = {error[worst]:.3e} against an allowance of "
-                f"{allowance[worst]:.3e}"
-            )
-        coarse = fine
+    weight = np.repeat([float(r), 1.0], counts)
+    where = f"g = {g}, r = {r} base periods P/{g}, tau/(P/{g}) = {tau / base:+.6f}"
+    phases = _panel_phases(
+        segment, crystal.rho, crystal.phi, omega, (mid, half, weight), abs_tol, where
+    )
+    return phases @ weight
 
 
 def evolve_exact(
@@ -252,7 +277,7 @@ def evolve_exact(
         raise ValueError("tolerance below 1e-13 is not resolvable in float64")
     omega = schedule.omega_rad_s
     phases = [
-        _segment_phase_quadrature(seg, crystal, omega, tol) for seg in schedule.segments
+        _segment_phase(seg, crystal, omega, tol) for seg in schedule.segments
     ]
     theta = np.zeros(len(crystal))
     for p in phases:  # fixed order: deterministic accumulation

@@ -173,8 +173,12 @@ class PulseSegment:
             value = getattr(self, field)
             if not 0 < value < np.inf:  # also refuses NaN
                 raise ConfigError(f"segment {field} must be positive and finite, got {value}")
-        if any(b < 0 or b != int(b) for b in self.beatnotes):
-            raise ConfigError(f"beatnote multipliers must be non-negative integers: {self.beatnotes}")
+        if not np.isfinite(self.psi):
+            raise ConfigError(f"segment psi must be finite, got {self.psi}")
+        if not all(0 <= b < np.inf and b == int(b) for b in self.beatnotes):  # NaN fails 0 <= b
+            raise ConfigError(
+                f"segment beatnotes must be finite non-negative integers, got {self.beatnotes}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

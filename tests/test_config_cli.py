@@ -290,6 +290,24 @@ mode: serial
         res = runner.invoke(main, ["decompose", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("key, field", [
+        ("amplitude", "pattern_amplitude"), ("psi", "psi"), ("u_rad_s", "u_rad_s"),
+        ("omega_rad_s", "omega_rad_s"), ("tolerance", "tolerance"),
+    ])
+    def test_nan_in_config_is_exit_2_naming_the_key(self, runner, tmp_path, key, field):
+        values = {"amplitude": 1.0, "psi": -1.5, "u_rad_s": 6.3e4, "omega_rad_s": 1.1e6,
+                  "tolerance": 1e-12, key: ".nan"}
+        cfg = write_yaml(tmp_path / "nan.yaml", """
+pattern: {{kind: annulus, amplitude: {amplitude}}}
+decomposition: {{n_max: 18, m_max: 0}}
+drive: {{u_rad_s: {u_rad_s}, omega_rad_s: {omega_rad_s}, psi: {psi}}}
+mode: serial
+simulation: {{tolerance: {tolerance}}}
+""".format(**values))
+        res = runner.invoke(main, ["decompose", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert f"config {field} must be finite, got nan" in res.output
+
     def test_quadrature_error_is_exit_3(self, runner, tmp_path):
         cfg = write_yaml(tmp_path / "sharp.yaml", """
 pattern:
@@ -370,7 +388,7 @@ simulation: {tolerance: 1.0e-12, threads: 4}
         assert res.exit_code == 2
         assert "0.700000" in res.output and f"{J1_PEAK_VALUE:.6f}" in res.output
 
-    @pytest.mark.parametrize("field", ["duration_s", "u_rad_s", "omega_rad_s"])
+    @pytest.mark.parametrize("field", ["duration_s", "u_rad_s", "omega_rad_s", "psi"])
     def test_nan_in_schedule_is_exit_2_naming_the_field(self, runner, tmp_path, field):
         cfg = write_yaml(tmp_path / "run.yaml", SMALL_ANNULUS_YAML)
         omega = 2 * np.pi * 1.8e5
@@ -391,7 +409,8 @@ simulation: {tolerance: 1.0e-12, threads: 4}
             "--out", str(tmp_path / "o"),
         ])
         assert res.exit_code == 2, res.output
-        assert f"{field} must be positive and finite, got nan" in res.output
+        rule = "finite" if field == "psi" else "positive and finite"
+        assert f"{field} must be {rule}, got nan" in res.output
 
     @pytest.mark.parametrize("text", [
         '{"amplitude": 1.0, "n_max": 4, "m_max": 2, "coefficients": [{"n": 6, "m": 2, "alpha": 1.0}]}',

@@ -103,6 +103,11 @@ class TestBlochConventions:
                 theta=np.array([0.1]), sigma_x=np.array([1.0]),
                 sigma_y=np.array([0.5]), metadata={},
             )
+        with pytest.raises(ValueError, match="equator"):  # NaN fails the guard too
+            EvolutionResult(
+                theta=np.array([np.nan]), sigma_x=np.array([np.nan]),
+                sigma_y=np.array([np.nan]), metadata={},
+            )
 
 
 class TestTargets:

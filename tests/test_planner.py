@@ -288,6 +288,18 @@ class TestStructuralValidation:
         with pytest.raises(ConfigError, match="finite"):
             RadialProfile(2, (float("nan"),))
 
+    @pytest.mark.parametrize("field, value", [
+        ("psi", float("nan")), ("psi", float("inf")),
+        ("beatnotes", (float("nan"),)), ("beatnotes", (2, float("inf"))),
+    ])
+    def test_segment_refuses_non_finite_psi_and_beatnotes(self, field, value):
+        kwargs = dict(
+            deformation=MirrorDeformation((DeformationComponent(2, even=RadialProfile(2, (0.1,))),)),
+            beatnotes=(2,), duration_s=1e-5, u_rad_s=1e4, psi=-np.pi / 2,
+        )
+        with pytest.raises(ConfigError, match=f"segment {field} must be finite"):
+            PulseSegment(**{**kwargs, field: value})
+
     def test_m0_cannot_carry_sin(self):
         with pytest.raises(ConfigError):
             DeformationComponent(0, even=RadialProfile(1, (1.0,)), odd=RadialProfile(1, (1.0,)))
