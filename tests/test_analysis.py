@@ -2,14 +2,15 @@
 and the named scenario pipeline."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from starkshaper import analysis as an
-from starkshaper.crystal import generate_hex_crystal
-from starkshaper.dynamics import evolve_exact
+from starkshaper.crystal import IonCrystal, generate_hex_crystal
+from starkshaper.dynamics import evolve_exact, evolve_exact_bessel
 from starkshaper.errors import ConfigError
 from starkshaper.planner import (
     DeformationComponent,
@@ -125,6 +126,41 @@ class TestRwaStudy:
             an.rwa_study([OMEGA], u_rad_s=U0, sample_count=1)
         with pytest.raises(ConfigError):
             an.rwa_study([OMEGA], u_rad_s=U0, t_max_s=-1.0)
+
+    @pytest.mark.parametrize("m, freq_hz", [(1, 43.8e3), (1, 180e3), (3, 43.8e3)])
+    def test_sample_phases_match_the_bessel_oracle(self, m, freq_hz):
+        # every non-zero sample time, most of them no whole number of base
+        # periods, against the Jacobi-Anger series for one segment of that
+        # duration on the study's rim ion (|J_11(0.25)| < 1e-17, so ten
+        # series terms suffice)
+        omega = 2 * np.pi * freq_hz
+        s = an.rwa_study([omega], u_rad_s=U0, m=m, sample_count=97).series[0]
+        rim = IonCrystal([1.0], [0.0])
+        deformation = MirrorDeformation(
+            (DeformationComponent(m, even=RadialProfile(0, (0.25,))),)
+        )
+        for t, theta in zip(s.times_s[1:], s.theta_exact[1:]):
+            seg = PulseSegment(
+                deformation=deformation, beatnotes=(m,), duration_s=t,
+                u_rad_s=U0, psi=an.DEFAULT_PSI,
+            )
+            sched = PulseSchedule(
+                mode="serial", omega_rad_s=omega, segments=(seg,),
+                target_u_rad_s=U0, gate_time_s=t, amplitude=0.25,
+            )
+            oracle = evolve_exact_bessel(rim, sched, n_terms=10).theta[0]
+            assert abs(theta - oracle) < 1e-9, (t, theta, oracle)
+
+    def test_long_sample_grid_memory_stays_bounded(self):
+        # sample_count is user input: the study's work arrays must not
+        # grow as (harmonics x samples)
+        tracemalloc.start()
+        try:
+            an.rwa_study([2 * np.pi * 43.8e3], u_rad_s=U0, sample_count=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
     def test_series_csv(self, tmp_path):
         study = an.rwa_study([OMEGA], u_rad_s=U0, sample_count=40)
