@@ -9,7 +9,8 @@ Three layers on top of the compiler/simulator stack:
     spin phase for a single rim ion swept over rotation frequencies) and
     `worst_case_parallel_pair` (the most pessimistic two-order beatnote
     comb, exact vs first-order target), both integrated by the dynamics
-    module's quadrature, so the package has one time-domain integrator;
+    module's spectral trapezoid rule, so the package has one time-domain
+    integrator;
   * `run_scenario`, the full pipeline pattern -> decompose -> plan ->
     evolve -> compare against the ideal target, for the named reference
     scenarios, with deterministic CSV/JSON artifact emission.
@@ -28,7 +29,7 @@ import numpy as np
 from .crystal import IonCrystal, generate_hex_crystal, save_crystal_csv
 from .dynamics import (
     EvolutionResult,
-    _panel_phases,
+    _phases,
     evolve_exact,
     evolve_rwa,
     infidelity,
@@ -169,9 +170,9 @@ def rwa_study(
 
     The RWA reference is theta_rwa(t) = 2 U J1(A) sin(m phi - psi) t.  The
     window defaults to 2.5x the RWA pi-time, sampled uniformly.  The exact
-    phase goes through evolve_exact's integrator, one panel per sample
-    interval; the commensurate checkpoints, the whole rotation periods
-    inside the window, are multiples of one period's phase.
+    phase goes through evolve_exact's integrator, one call per rotation
+    frequency for the sample times and the commensurate checkpoints, the
+    whole rotation periods inside the window.
     """
     omegas = [float(w) for w in np.atleast_1d(np.asarray(omega_list, dtype=float))]
     if not omegas or any(w <= 0 for w in omegas):
@@ -196,34 +197,22 @@ def rwa_study(
     times = np.linspace(0.0, t_max_s, sample_count)
     deformation = MirrorDeformation((DeformationComponent(m, even=RadialProfile(0, (amplitude,))),))
 
-    # the rim probe ion; each sample interval is one panel counted once, and
-    # the sample phases, every partial sum included, are certified to 1e-12
+    # the rim probe ion; the sample times and the commensurate checkpoints,
+    # the whole rotation periods inside the window, are certified to 1e-12
     rim = (np.ones(1), np.zeros(1))
-    steps = (0.5 * (times[:-1] + times[1:]), 0.5 * np.diff(times), np.ones(sample_count - 1))
     out = []
     for omega in omegas:
         segment = PulseSegment(
             deformation=deformation, beatnotes=(m,), duration_s=t_max_s,
             u_rad_s=u_rad_s, psi=psi,
         )
-        theta = np.concatenate(([0.0], np.cumsum(_panel_phases(
-            segment, *rim, omega, steps, 1e-12, f"{sample_count - 1} sample intervals",
-        )[0])))
+        period = TWO_PI / omega
+        t_comm = period * np.arange(1, int(np.floor(t_max_s / period + 1e-9)) + 1)
+        theta = _phases(segment, *rim, omega, np.concatenate([times, t_comm]), 1e-12)[0]
+        theta, theta_comm = theta[:sample_count], theta[sample_count:]
         theta_rwa = rwa_rate * times
         infid = infidelity(theta, theta_rwa)
-
-        # the r P rule: checkpoint k is k times the phase of one period
-        period = TWO_PI / omega
-        k = np.arange(1, int(np.floor(t_max_s / period + 1e-9)) + 1)
-        t_comm = period * k
-        if k.size:
-            theta_period = _panel_phases(
-                segment, *rim, omega, ([0.5 * period], [0.5 * period], [k.size]), 1e-12,
-                f"one rotation period counted {k.size} times",
-            )[0, 0]
-            infid_comm = infidelity(theta_period * k, rwa_rate * t_comm)
-        else:
-            infid_comm = np.zeros(0)
+        infid_comm = infidelity(theta_comm, rwa_rate * t_comm)
         edges, counts = infidelity_histogram(infid)
         out.append(RwaSeries(
             omega_rad_s=omega, times_s=times, theta_exact=theta,

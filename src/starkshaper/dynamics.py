@@ -12,10 +12,10 @@ and the infidelity against a target Z-rotation theta* is sin^2((theta-theta*)/2)
 Three independent evaluation routes, kept deliberately separate so they can
 cross-check each other:
 
-  evolve_exact         Gauss-Legendre panels over one base period P/g of
-                       the separable drive, weighted by the number of
-                       whole base periods, plus the signed remainder;
-                       node doubling until the phase converges
+  evolve_exact         trapezoid samples of the separable drive over one
+                       base period P/g, whose Fourier coefficients give the
+                       phase at any time in closed form; the sample count
+                       doubles until the phase converges
   evolve_exact_bessel  closed-form term-by-term time integrals of the
                        Jacobi-Anger expansion (single even-component
                        segments only) -- the analytic oracle
@@ -23,9 +23,9 @@ cross-check each other:
                        sum for serial schedules, the first-order-in-amplitude
                        form for parallel ones
 
-_panel_phases is the package's one time-domain integrator: evolve_exact
-hands it a segment's base-period and remainder panels, and
-analysis.rwa_study its sample intervals and one rotation period.
+_phases is the package's one time-domain integrator: evolve_exact asks it
+for each segment's phase at the segment's end, and analysis.rwa_study for
+the phase at every sample time and every whole rotation period.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +43,9 @@ from .patterns import TargetPattern
 from .planner import PulseSchedule, PulseSegment, schedule_hash
 from .specfun import bessel_j
 
-_BASE_NODES = 24
-_MAX_NODES = 3072
-_NODE_BLOCK = 32768  # nodes per (ions x nodes) work array; bounds quadrature memory
+_BASE_SAMPLES = 16  # first trapezoid sum, per fastest/g harmonic
+_MAX_SAMPLES = 4096  # last doubling before the integral is declared unconverged
+_RAMP_BLOCK = 32768  # samples x times per trapezoid-weight array; bounds study memory
 _ROUNDOFF_MASS_FACTOR = 128  # eps multiples per radian of integrand L1 mass
 _PRODUCT_TAIL = 1e-18
 _MAX_PRODUCT_ORDERS = 3
@@ -150,119 +149,105 @@ def instantaneous_coefficient(
 
 
 # ---------------------------------------------------------------------------
-# exact route 1: panelized quadrature
+# exact route 1: spectral quadrature over one base period
 
 
-@lru_cache(maxsize=16)
-def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per count."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False  # shared by every caller
-    return x, w
-
-
-def _panel_phases(
+def _phases(
     segment: PulseSegment, rho: np.ndarray, phi: np.ndarray, omega: float,
-    panels: tuple[np.ndarray, np.ndarray, np.ndarray], tol: float, where: str,
+    times, tol: float,
 ) -> np.ndarray:
-    """2 * integral of f over each panel at each probe point (rho, phi):
-    the one Gauss-Legendre integrator, returning (points, panels) phases.
+    """2 * integral_0^t f dt at each probe point (rho, phi) and each time t:
+    the package's one time-domain integrator, returning (points, times).
 
-    `panels` is (centre, half-width, weight) per panel; a negative
-    half-width integrates backwards in time, and the weight says how often
-    the caller counts the panel.  By angle addition delta(t) = delta0 +
-    A . H(t), with A (J, 2M) per segment and H = [cos m omega t;
-    sin m omega t] per node, and the comb folds into f = U [cos(delta + psi)
-    C(t) + sin(delta + psi) S(t)], C and S its summed cos and sin
-    (mu omega t): two transcendental calls per (point, node).
+    Every beatnote and deformation order is an integer multiple of omega;
+    with g their gcd, f repeats every base period P/g, P = 2 pi / omega,
+    and is analytic, so trapezoid sums over one base period converge
+    geometrically.  N equispaced samples give f's Fourier coefficients c_k
+    (rfft / N, the Nyquist term counted once), and with w = g omega and
+    t = r P/g + tau, tau in [-P/(2g), P/(2g)],
 
-    Nodes per panel double from _BASE_NODES until, for every point,
-    sum_p |w_p| |fine_p - coarse_p| < tol/2 + 128 eps sum_p |w_p| mass_p,
-    mass_p being the panel's integral of |f| -- long segments carry
-    hundreds of radians of L1 mass whose float64 summation noise no node
-    refinement removes.  The rule bounds the weighted total and every
-    partial sum of it.  `where` describes the panels in the error."""
+        integral_0^t f = c_0 t + sum_k c_k (exp(i k w tau) - 1) / (i k w).
+
+    By angle addition delta(t) = delta0 + A . H(t), with A (J, 2M) per
+    segment and H = [cos m omega t; sin m omega t] per sample, and the comb
+    folds into f = U [cos(delta + psi) C(t) + sin(delta + psi) S(t)], C and
+    S its summed cos and sin (mu omega t): two transcendental calls per
+    (point, sample).
+
+    N starts at _BASE_SAMPLES per fastest/g harmonic and doubles, each
+    doubling evaluating only the new odd samples, until at every point and
+    time |fine - coarse| < tol/2 + 128 eps mass(t), mass(t) being the
+    integral of |f| up to t -- long windows carry hundreds of radians of L1
+    mass whose float64 summation noise no refinement removes."""
+    times = np.asarray(times, dtype=float)
     delta0, orders, even, odd = _segment_tables(segment, rho)
+    fastest = int(max([*segment.beatnotes, *orders], default=0))
+    if fastest == 0:
+        # drive is strictly time-independent: f * t, no quadrature needed
+        f0 = segment.u_rad_s * len(segment.beatnotes) * np.cos(delta0 + segment.psi)
+        return (2.0 * f0)[:, None] * times
+
     ms = np.array(orders, dtype=float)
     e, o = np.array(even).reshape(-1, phi.size).T, np.array(odd).reshape(-1, phi.size).T
     c, s = np.cos(np.outer(phi, ms)), np.sin(np.outer(phi, ms))  # (J, M)
     amps = np.hstack([e * c + o * s, e * s - o * c])  # (J, 2M)
     comb = np.array(segment.beatnotes, dtype=float)
-    mid, half, weight = (np.asarray(a, dtype=float) for a in panels)
-    counted = np.abs(weight)
     scale = 2.0 * segment.u_rad_s
 
-    def integrate(nodes_per_panel: int):
-        x, w = _legendre_nodes(nodes_per_panel)  # mapped into every panel
-        phase, mass = np.empty((phi.size, mid.size)), np.empty((phi.size, mid.size))
-        step = max(1, _NODE_BLOCK // nodes_per_panel)  # whole panels per block
-        for start in range(0, mid.size, step):
-            block = slice(start, start + step)
-            omega_t = omega * (mid[block, None] + half[block, None] * x).ravel()
-            arg = np.outer(ms, omega_t)
-            delta = (delta0 + segment.psi)[:, None] + amps @ np.vstack([np.cos(arg), np.sin(arg)])
-            arg = np.outer(comb, omega_t)
-            f = np.cos(delta) * np.cos(arg).sum(axis=0) + np.sin(delta) * np.sin(arg).sum(axis=0)
-            f = f.reshape(-1, nodes_per_panel)  # one row per (point, panel)
-            phase[:, block] = scale * half[block] * (f @ w).reshape(phi.size, -1)
-            mass[:, block] = scale * np.abs(half[block]) * (np.abs(f) @ w).reshape(phi.size, -1)
-        return phase, mass
+    g = math.gcd(*(int(k) for k in (*segment.beatnotes, *orders)))
+    base = 2.0 * np.pi / omega / g
+    r = np.rint(times / base)
+    tau = times - r * base
+    swept = np.abs(r) * base + np.abs(tau)  # |f| accumulates over r periods and |tau|
 
-    nodes = _BASE_NODES
-    coarse, _ = integrate(nodes)
+    def drive(fraction: np.ndarray) -> np.ndarray:
+        """f / U at these fractions of the base period, (points, samples)."""
+        omega_t = (2.0 * np.pi / g) * fraction
+        arg = np.outer(ms, omega_t)
+        delta = (delta0 + segment.psi)[:, None] + amps @ np.vstack([np.cos(arg), np.sin(arg)])
+        arg = np.outer(comb, omega_t)
+        return np.cos(delta) * np.cos(arg).sum(axis=0) + np.sin(delta) * np.sin(arg).sum(axis=0)
+
+    def integrate(samples: np.ndarray) -> np.ndarray:
+        """Phases at every time from n samples of one base period."""
+        n = samples.shape[1]
+        kw = np.arange(1, n // 2 + 1) * (g * omega)
+        phase = np.empty((phi.size, times.size))
+        step = max(1, _RAMP_BLOCK // n)  # whole times per block
+        for begin in range(0, times.size, step):
+            block = slice(begin, begin + step)
+            # integral_0^t exp(-i k w t') dt' per harmonic and time; its irfft
+            # holds each sample's trapezoid weight, so samples @ weights sums
+            # c_k = rfft(samples)[k] / n against them, the Nyquist term once
+            ramps = np.vstack([
+                times[None, block], np.expm1(-1j * np.outer(kw, tau[block])) / (-1j * kw[:, None])
+            ])
+            phase[:, block] = samples @ np.fft.irfft(ramps, n, axis=0)
+        return scale * phase
+
+    n = _BASE_SAMPLES * (fastest // g)
+    samples = drive(np.arange(n) / n)
+    coarse = integrate(samples)
     while True:
-        nodes *= 2
-        fine, mass = integrate(nodes)
-        allowance = 0.5 * tol + _ROUNDOFF_MASS_FACTOR * np.finfo(float).eps * (mass @ counted)
-        error = np.abs(fine - coarse) @ counted
+        n *= 2
+        fine_samples = np.empty((phi.size, n))
+        fine_samples[:, ::2], fine_samples[:, 1::2] = samples, drive(np.arange(1, n, 2) / n)
+        samples, fine = fine_samples, integrate(fine_samples)
+        mass = scale * np.abs(samples).mean(axis=1)[:, None] * swept
+        allowance = 0.5 * tol + _ROUNDOFF_MASS_FACTOR * np.finfo(float).eps * mass
+        error = np.abs(fine - coarse)
         if np.all(error < allowance):
             return fine
-        if nodes >= _MAX_NODES:
-            worst = int(np.argmax(error / allowance))
+        if n >= _MAX_SAMPLES * (fastest // g):
+            worst, at = np.unravel_index(np.argmax(error / allowance), error.shape)
             raise QuadratureError(
-                f"phase integral did not converge to {tol:g} with {nodes} nodes "
-                f"per panel ({mid.size} panels; {where}): ion {worst} has "
-                f"|fine - coarse| = {error[worst]:.3e} against an allowance of "
-                f"{allowance[worst]:.3e}"
+                f"phase integral did not converge to {tol:g} with {n} samples per "
+                f"base period (t = {times[at]:.6g} s: g = {g}, r = {int(r[at])} base "
+                f"periods P/{g}, tau/(P/{g}) = {tau[at] / base:+.6f}): ion {worst} has "
+                f"|fine - coarse| = {error[worst, at]:.3e} against an allowance of "
+                f"{allowance[worst, at]:.3e}"
             )
         coarse = fine
-
-
-def _segment_phase(
-    segment: PulseSegment, crystal: IonCrystal, omega: float, abs_tol: float
-) -> np.ndarray:
-    """2 * integral of f_j dt for one segment, all ions.
-
-    Every beatnote and deformation order is an integer multiple of omega;
-    with g their gcd, f_j repeats every base period P/g, P = 2 pi / omega.
-    Writing the duration as r P/g + tau with tau in [-P/(2g), P/(2g)], the
-    integral is r times the integral over [0, P/g] plus the integral over
-    [0, tau] (a signed interval, so negative tau carries negative
-    half-widths).  Both pieces use panels P/fastest wide: one plus the
-    remainder for an order-m serial segment."""
-    orders = [comp.m for comp in segment.deformation.components if comp.m != 0]
-    fastest = int(max([*segment.beatnotes, *orders], default=0))
-    if fastest == 0:
-        # drive is strictly time-independent: f * T, no quadrature needed
-        delta0 = _segment_tables(segment, crystal.rho)[0]
-        f0 = segment.u_rad_s * len(segment.beatnotes) * np.cos(delta0 + segment.psi)
-        return 2.0 * f0 * segment.duration_s
-
-    g = math.gcd(*(int(k) for k in (*segment.beatnotes, *orders)))
-    period = 2.0 * np.pi / omega
-    base = period / g
-    r = round(segment.duration_s / base)
-    tau = segment.duration_s - r * base
-    counts = (fastest // g, max(1, math.ceil(abs(tau) / period * fastest)))
-    edges = (np.linspace(0.0, base, counts[0] + 1), np.linspace(0.0, tau, counts[1] + 1))
-    half = np.concatenate([0.5 * np.diff(piece) for piece in edges])
-    mid = np.concatenate([0.5 * (piece[:-1] + piece[1:]) for piece in edges])
-    weight = np.repeat([float(r), 1.0], counts)
-    where = f"g = {g}, r = {r} base periods P/{g}, tau/(P/{g}) = {tau / base:+.6f}"
-    phases = _panel_phases(
-        segment, crystal.rho, crystal.phi, omega, (mid, half, weight), abs_tol, where
-    )
-    return phases @ weight
 
 
 def evolve_exact(
@@ -276,12 +261,11 @@ def evolve_exact(
     if tol < 1e-13:
         raise ValueError("tolerance below 1e-13 is not resolvable in float64")
     omega = schedule.omega_rad_s
-    phases = [
-        _segment_phase(seg, crystal, omega, tol) for seg in schedule.segments
-    ]
     theta = np.zeros(len(crystal))
-    for p in phases:  # fixed order: deterministic accumulation
-        theta = theta + p
+    for seg in schedule.segments:  # fixed order: deterministic accumulation
+        theta = theta + _phases(
+            seg, crystal.rho, crystal.phi, omega, (seg.duration_s,), tol
+        )[:, 0]
     meta = {
         "method": "exact-quadrature",
         "tolerance": tol,

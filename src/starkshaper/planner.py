@@ -52,6 +52,16 @@ DEFAULT_PSI = -np.pi / 2.0
 _CHECK_RHO = np.linspace(0.0, 1.0, 2048)
 _ARCCOS_CLIP_TOLERANCE = 0.05
 _COMPONENT_FLOOR = 1e-12
+
+
+def _is_count(value) -> bool:
+    """A non-negative whole number: booleans, strings, NaN, inf and
+    fractions are refused, not coerced."""
+    if isinstance(value, float):
+        return value.is_integer() and value >= 0
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
 # Largest |transfer argument| each transfer accepts.
 _TRANSFER_BOUND = {"linear": np.inf, "j1inv": J1_PEAK_VALUE, "arccos": 1.0 + _ARCCOS_CLIP_TOLERANCE}
 
@@ -72,12 +82,12 @@ class RadialProfile:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
+        if not _is_count(self.order):
+            raise ConfigError(f"radial order must be a non-negative integer, got {self.order!r}")
         object.__setattr__(self, "order", int(self.order))
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "offset", float(self.offset))
-        if self.order < 0:
-            raise ConfigError(f"radial order must be >= 0, got {self.order}")
         if not self.coeffs:
             raise ConfigError("radial profile has no coefficients")
         if not np.all(np.isfinite((*self.coeffs, self.scale, self.offset))):
@@ -133,8 +143,9 @@ class DeformationComponent:
     odd: RadialProfile | None = None
 
     def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ConfigError(f"deformation order must be >= 0, got m={self.m}")
+        if not _is_count(self.m):
+            raise ConfigError(f"deformation order must be a non-negative integer, got m={self.m!r}")
+        object.__setattr__(self, "m", int(self.m))
         if self.even is None and self.odd is None:
             raise ConfigError(f"component m={self.m} has neither even nor odd part")
         if self.m == 0 and self.odd is not None:
@@ -175,10 +186,11 @@ class PulseSegment:
                 raise ConfigError(f"segment {field} must be positive and finite, got {value}")
         if not np.isfinite(self.psi):
             raise ConfigError(f"segment psi must be finite, got {self.psi}")
-        if not all(0 <= b < np.inf and b == int(b) for b in self.beatnotes):  # NaN fails 0 <= b
+        if not all(map(_is_count, self.beatnotes)):
             raise ConfigError(
                 f"segment beatnotes must be finite non-negative integers, got {self.beatnotes}"
             )
+        object.__setattr__(self, "beatnotes", tuple(int(b) for b in self.beatnotes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,22 +503,25 @@ def schedule_from_json_dict(payload: dict) -> PulseSchedule:
         )
     try:
         segments = []
-        for seg in payload["segments"]:
-            comps = tuple(
-                DeformationComponent(
-                    int(c["m"]), even=_part_from_json(c.get("even")), odd=_part_from_json(c.get("odd"))
+        for index, seg in enumerate(payload["segments"]):
+            try:  # the records refuse what they cannot hold exactly
+                comps = tuple(
+                    DeformationComponent(
+                        c["m"], even=_part_from_json(c.get("even")), odd=_part_from_json(c.get("odd"))
+                    )
+                    for c in seg["components"]
                 )
-                for c in seg["components"]
-            )
-            segments.append(
-                PulseSegment(
-                    deformation=MirrorDeformation(comps),
-                    beatnotes=tuple(int(b) for b in seg["beatnotes"]),
-                    duration_s=float(seg["duration_s"]),
-                    u_rad_s=float(seg["u_rad_s"]),
-                    psi=float(seg["psi"]),
+                segments.append(
+                    PulseSegment(
+                        deformation=MirrorDeformation(comps),
+                        beatnotes=tuple(seg["beatnotes"]),
+                        duration_s=float(seg["duration_s"]),
+                        u_rad_s=float(seg["u_rad_s"]),
+                        psi=float(seg["psi"]),
+                    )
                 )
-            )
+            except ConfigError as exc:
+                raise ConfigError(f"schedule segment {index}: {exc}") from None
         schedule = PulseSchedule(
             mode=str(payload["mode"]),
             omega_rad_s=float(payload["omega_rad_s"]),

@@ -261,16 +261,16 @@ class TestQuadratureVsSeries:
             evolve_exact(CRYSTAL, sched, tol=1e-14)
 
     def test_unconverged_quadrature_reports_its_numbers(self, monkeypatch):
-        # 2 vs 4 nodes per panel cannot certify 1e-12, so the error fires
-        monkeypatch.setattr(dynamics, "_BASE_NODES", 2)
-        monkeypatch.setattr(dynamics, "_MAX_NODES", 4)
+        # 2 vs 4 samples per base period cannot certify 1e-12, so the error fires
+        monkeypatch.setattr(dynamics, "_BASE_SAMPLES", 2)
+        monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 4)
         sched = single_order_schedule(3, 0.4, 18.3 * PERIOD)
         with pytest.raises(QuadratureError) as info:
             evolve_exact(CRYSTAL, sched, tol=1e-12)
         message = str(info.value)
-        # g = 3: 18.3 P is 55 base periods P/3 minus 0.1 of one, so one
-        # panel for the base period plus one for the remainder
-        assert "4 nodes per panel (2 panels" in message
+        # g = 3: 18.3 P is 55 base periods P/3 minus 0.1 of one, and one
+        # fastest harmonic per base period, so 2 samples doubled to 4
+        assert "with 4 samples per base period" in message
         assert "g = 3, r = 55 base periods P/3" in message
         assert "tau/(P/3) = -0.100000" in message
         match = re.search(

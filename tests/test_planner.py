@@ -275,6 +275,41 @@ class TestScheduleInterchange:
             schedule_from_json_dict({"mode": "serial", "segments": []})
 
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("beatnotes", 0), True, "beatnotes"),
+        (("beatnotes", 0), 1.5, "beatnotes"),
+        (("beatnotes", 0), "2", "beatnotes"),
+        (("beatnotes", 0), float("nan"), "beatnotes"),
+        (("components", 0, "m"), 1.5, "deformation order"),
+        (("components", 0, "m"), True, "deformation order"),
+        (("components", 0, "m"), float("inf"), "deformation order"),
+        (("components", 0, "even", "order"), 2.5, "radial order"),
+        (("components", 0, "even", "order"), "2", "radial order"),
+        (("components", 0, "even", "order"), float("nan"), "radial order"),
+    ], ids=[
+        "beatnote-bool", "beatnote-fraction", "beatnote-string", "beatnote-nan",
+        "m-fraction", "m-bool", "m-inf", "order-fraction", "order-string", "order-nan",
+    ])
+    def test_loader_refuses_inexact_integers(self, path, value, field):
+        # a beatnote, order m or radial order that is not a whole number
+        # must not load as a different program than the file states
+        seg = PulseSegment(
+            deformation=MirrorDeformation((DeformationComponent(2, even=RadialProfile(2, (0.1,))),)),
+            beatnotes=(2,), duration_s=3 * PERIOD, u_rad_s=1e4, psi=-np.pi / 2,
+        )
+        sched = PulseSchedule(
+            mode="serial", omega_rad_s=OMEGA, segments=(seg, seg),
+            target_u_rad_s=1e4, gate_time_s=6 * PERIOD, amplitude=0.1,
+        )
+        payload = schedule_to_json_dict(sched)
+        record = payload["segments"][1]
+        for key in path[:-1]:
+            record = record[key]
+        record[path[-1]] = value
+        with pytest.raises(ConfigError, match=f"schedule segment 1: .*{field}") as info:
+            schedule_from_json_dict(payload)
+        assert info.value.exit_code == 2
+
 class TestStructuralValidation:
     def test_component_requires_a_part(self):
         with pytest.raises(ConfigError):
