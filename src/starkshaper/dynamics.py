@@ -45,7 +45,7 @@ from .specfun import bessel_j
 
 _BASE_SAMPLES = 16  # first trapezoid sum, per fastest/g harmonic
 _MAX_SAMPLES = 4096  # last doubling before the integral is declared unconverged
-_RAMP_BLOCK = 32768  # samples x times per trapezoid-weight array; bounds study memory
+_WEIGHT_BLOCK = 32768  # samples x times per trapezoid-weight array; bounds study memory
 _ROUNDOFF_MASS_FACTOR = 128  # eps multiples per radian of integrand L1 mass
 _PRODUCT_TAIL = 1e-18
 _MAX_PRODUCT_ORDERS = 3
@@ -154,7 +154,7 @@ def instantaneous_coefficient(
 
 def _phases(
     segment: PulseSegment, rho: np.ndarray, phi: np.ndarray, omega: float,
-    times, tol: float,
+    times: np.ndarray | tuple[float, ...], tol: float,
 ) -> np.ndarray:
     """2 * integral_0^t f dt at each probe point (rho, phi) and each time t:
     the package's one time-domain integrator, returning (points, times).
@@ -166,7 +166,9 @@ def _phases(
     (rfft / N, the Nyquist term counted once), and with w = g omega and
     t = r P/g + tau, tau in [-P/(2g), P/(2g)],
 
-        integral_0^t f = c_0 t + sum_k c_k (exp(i k w tau) - 1) / (i k w).
+        integral_0^t f = c_0 t + sum_k c_k (exp(i k w tau) - 1) / (i k w),
+
+    summed as one trapezoid weight per (sample, time).
 
     By angle addition delta(t) = delta0 + A . H(t), with A (J, 2M) per
     segment and H = [cos m omega t; sin m omega t] per sample, and the comb
@@ -213,7 +215,7 @@ def _phases(
         n = samples.shape[1]
         kw = np.arange(1, n // 2 + 1) * (g * omega)
         phase = np.empty((phi.size, times.size))
-        step = max(1, _RAMP_BLOCK // n)  # whole times per block
+        step = max(1, _WEIGHT_BLOCK // n)  # whole times per block
         for begin in range(0, times.size, step):
             block = slice(begin, begin + step)
             # integral_0^t exp(-i k w t') dt' per harmonic and time; its irfft
@@ -225,20 +227,22 @@ def _phases(
             phase[:, block] = samples @ np.fft.irfft(ramps, n, axis=0)
         return scale * phase
 
-    n = _BASE_SAMPLES * (fastest // g)
+    harmonics = fastest // g  # periods of the fastest term per base period
+    n = _BASE_SAMPLES * harmonics
     samples = drive(np.arange(n) / n)
     coarse = integrate(samples)
     while True:
         n *= 2
-        fine_samples = np.empty((phi.size, n))
-        fine_samples[:, ::2], fine_samples[:, 1::2] = samples, drive(np.arange(1, n, 2) / n)
-        samples, fine = fine_samples, integrate(fine_samples)
+        refined = np.empty((phi.size, n))
+        refined[:, ::2], refined[:, 1::2] = samples, drive(np.arange(1, n, 2) / n)
+        samples = refined
+        fine = integrate(samples)
         mass = scale * np.abs(samples).mean(axis=1)[:, None] * swept
         allowance = 0.5 * tol + _ROUNDOFF_MASS_FACTOR * np.finfo(float).eps * mass
         error = np.abs(fine - coarse)
         if np.all(error < allowance):
             return fine
-        if n >= _MAX_SAMPLES * (fastest // g):
+        if n >= _MAX_SAMPLES * harmonics:
             worst, at = np.unravel_index(np.argmax(error / allowance), error.shape)
             raise QuadratureError(
                 f"phase integral did not converge to {tol:g} with {n} samples per "
