@@ -153,7 +153,7 @@ class TestRwaStudy:
 
     def test_long_sample_grid_memory_stays_bounded(self):
         # sample_count is user input: the study's work arrays must not
-        # grow as (harmonics x samples)
+        # grow as (harmonics x sample times)
         tracemalloc.start()
         try:
             an.rwa_study([2 * np.pi * 43.8e3], u_rad_s=U0, sample_count=100_000)

@@ -274,7 +274,6 @@ class TestScheduleInterchange:
         with pytest.raises(ConfigError):
             schedule_from_json_dict({"mode": "serial", "segments": []})
 
-
     @pytest.mark.parametrize("path, value, field", [
         (("beatnotes", 0), True, "beatnotes"),
         (("beatnotes", 0), 1.5, "beatnotes"),
@@ -309,6 +308,7 @@ class TestScheduleInterchange:
         with pytest.raises(ConfigError, match=f"schedule segment 1: .*{field}") as info:
             schedule_from_json_dict(payload)
         assert info.value.exit_code == 2
+
 
 class TestStructuralValidation:
     def test_component_requires_a_part(self):
