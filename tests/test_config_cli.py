@@ -40,6 +40,68 @@ def write_yaml(path, text):
     return str(path)
 
 
+NUMBERS = ("pattern.amplitude", "drive.psi", "drive.u_hz", "drive.u_rad_s", "drive.omega_hz",
+           "drive.omega_rad_s", "crystal.spacing", "crystal.orientation", "simulation.tolerance",
+           "rwa_study.amplitude", "rwa_study.t_max_s")
+POSITIVE = tuple(key for key in NUMBERS if key not in ("pattern.amplitude", "drive.psi",
+                                                       "crystal.orientation"))
+COUNTS = ("decomposition.n_max", "decomposition.m_max", "crystal.shells", "rwa_study.order",
+          "rwa_study.sample_count")
+SECTIONS = ("pattern", "decomposition", "drive", "crystal", "simulation", "rwa_study")
+DROP = object()
+
+
+def refusal(edits, where, name):
+    return pytest.param(edits, where, id=name)
+
+
+REFUSALS = [
+    refusal({"surprise": 1}, "<root>", "unknown-root-key"),
+    *(refusal({f"{s}.surprise": 1}, s, f"unknown-key-{s}") for s in SECTIONS),
+    refusal({"simulation.threads": 4}, "simulation", "simulation-threads"),
+    *(refusal({key: DROP}, "<root>", f"missing-{key}")
+      for key in ("pattern", "decomposition", "drive", "mode")),
+    *(refusal({key: DROP}, key.split(".")[0], f"missing-{key}")
+      for key in ("pattern.kind", "pattern.amplitude", "decomposition.n_max", "decomposition.m_max")),
+    refusal({"pattern.kind": "heptagon"}, "pattern/kind", "bad-kind"),
+    refusal({"mode": "batch"}, "mode", "bad-mode"),
+    *(refusal({key: bad}, key.replace(".", "/"), f"{key}={name}")
+      for key in NUMBERS + COUNTS
+      for name, bad in (("true", True), ("string", "1.0"), ("null", None), ("list", [1.0]))),
+    *(refusal({key: 3.5}, key.replace(".", "/"), f"{key}=3.5") for key in COUNTS),
+    *(refusal({key: bad}, key.replace(".", "/"), f"{key}={bad}")
+      for key in POSITIVE for bad in (0, -1.0)),
+    *(refusal({f"rwa_study.{key}": [bad]}, f"rwa_study/{key}/0", f"{key}=[{bad!r}]")
+      for key in ("omega_hz", "omega_rad_s") for bad in (0, -1.0, True, "1.0")),
+    refusal({"crystal.shells": 0}, "crystal/shells", "shells=0"),
+    refusal({"rwa_study.sample_count": 1}, "rwa_study/sample_count", "sample_count=1"),
+    refusal({"rwa_study.order": 0}, "rwa_study/order", "order=0"),
+    refusal({"decomposition.n_max": -1}, "decomposition/n_max", "n_max=-1"),
+    refusal({"decomposition.m_max": -1}, "decomposition/m_max", "m_max=-1"),
+    *(refusal({f"rwa_study.{key}": []}, f"rwa_study/{key}", f"{key}=[]")
+      for key in ("omega_hz", "omega_rad_s")),
+    refusal({"rwa_study.omega_hz": 1.8e5}, "rwa_study/omega_hz", "omega_hz-not-a-list"),
+    *(refusal({s: bad}, s, f"{s}={bad!r}") for s in SECTIONS for bad in (3, [])),
+    refusal({"pattern.params": 3}, "pattern/params", "params=3"),
+]
+
+
+def edited(edits):
+    """BASE with each dotted key set (or removed, for DROP); missing
+    sections are created."""
+    payload = json.loads(json.dumps(BASE))
+    for dotted, value in edits.items():
+        *sections, key = dotted.split(".")
+        node = payload
+        for section in sections:
+            node = node.setdefault(section, {})
+        if value is DROP:
+            del node[key]
+        else:
+            node[key] = value
+    return payload
+
+
 class TestConfigParsing:
     def test_hz_and_rad_s_spellings_agree(self):
         cfg_hz = config_from_dict(dict(BASE))
@@ -71,6 +133,15 @@ class TestConfigParsing:
         payload["pattern"]["kind"] = "heptagon"
         with pytest.raises(ConfigError, match="config invalid"):
             config_from_dict(payload)
+
+    @pytest.mark.parametrize("edits, where", REFUSALS)
+    def test_refusals_name_the_path(self, edits, where):
+        with pytest.raises(ConfigError, match=f"^config invalid at {re.escape(where)}: "):
+            config_from_dict(edited(edits))
+
+    def test_whole_float_count_loads_as_int(self):
+        cfg = config_from_dict(edited({"decomposition.n_max": 18.0}))
+        assert cfg == config_from_dict(BASE) and type(cfg.n_max) is int
 
     def test_invariants(self):
         payload = json.loads(json.dumps(BASE))
