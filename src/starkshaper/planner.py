@@ -45,21 +45,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, PrecompensationRangeError
-from .specfun import J1_PEAK_VALUE, J1_PEAK_X, inverse_j1, zernike_radial_sum
+from .specfun import J1_PEAK_VALUE, J1_PEAK_X, inverse_j1, is_count, zernike_radial_sum
 from .zernike import ZernikeExpansion
 
 DEFAULT_PSI = -np.pi / 2.0
 _CHECK_RHO = np.linspace(0.0, 1.0, 2048)
 _ARCCOS_CLIP_TOLERANCE = 0.05
 _COMPONENT_FLOOR = 1e-12
-
-
-def _is_count(value) -> bool:
-    """A non-negative whole number: booleans, strings, NaN, inf and
-    fractions are refused, not coerced."""
-    if isinstance(value, float):
-        return value.is_integer() and value >= 0
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
 
 
 # Largest |transfer argument| each transfer accepts.
@@ -82,7 +74,7 @@ class RadialProfile:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if not _is_count(self.order):
+        if not is_count(self.order):
             raise ConfigError(f"radial order must be a non-negative integer, got {self.order!r}")
         object.__setattr__(self, "order", int(self.order))
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
@@ -143,7 +135,7 @@ class DeformationComponent:
     odd: RadialProfile | None = None
 
     def __post_init__(self) -> None:
-        if not _is_count(self.m):
+        if not is_count(self.m):
             raise ConfigError(f"deformation order must be a non-negative integer, got m={self.m!r}")
         object.__setattr__(self, "m", int(self.m))
         if self.even is None and self.odd is None:
@@ -186,7 +178,7 @@ class PulseSegment:
                 raise ConfigError(f"segment {field} must be positive and finite, got {value}")
         if not np.isfinite(self.psi):
             raise ConfigError(f"segment psi must be finite, got {self.psi}")
-        if not all(map(_is_count, self.beatnotes)):
+        if not all(map(is_count, self.beatnotes)):
             raise ConfigError(
                 f"segment beatnotes must be finite non-negative integers, got {self.beatnotes}"
             )

@@ -148,6 +148,19 @@ def inverse_j1(y) -> np.ndarray | float:
     return x
 
 
+def is_whole(value) -> bool:
+    """An integer, or a float with an integral value: booleans, strings,
+    NaN, inf and fractions are refused, not coerced."""
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_count(value) -> bool:
+    """A non-negative whole number."""
+    return is_whole(value) and value >= 0
+
+
 @dataclass(frozen=True)
 class ZernikeIndex:
     """Radial/azimuthal index pair (n, m) of a disk polynomial.

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, QuadratureError
 from .patterns import TargetPattern
-from .specfun import ZernikeIndex, zernike_radial_stack, zernike_radial_sum
+from .specfun import ZernikeIndex, is_count, is_whole, zernike_radial_stack, zernike_radial_sum
 
 COEFFICIENT_EXPORT_FLOOR = 1e-12
 
@@ -254,15 +254,26 @@ def expansion_to_json_dict(exp: ZernikeExpansion) -> dict:
     }
 
 
+def _index(record: dict, key: str, where: str = "") -> int:
+    """record[key] as an int: booleans, strings, NaN, inf and fractions are
+    refused, and so is a negative value unless the key is m."""
+    value = record[key]
+    if not (is_whole if key == "m" else is_count)(value):
+        bound = "" if key == "m" else " >= 0"
+        raise ConfigError(f"expansion {where}{key} must be a whole number{bound}, got {value!r}")
+    return int(value)
+
+
 def expansion_from_json_dict(payload: dict) -> ZernikeExpansion:
     """Rebuild an expansion; coefficients the payload omits are 0.  Every
     index must be a valid (n, m) inside the (n_max, m_max) box."""
     try:
-        n_max, m_max = int(payload["n_max"]), int(payload["m_max"])
+        n_max, m_max = _index(payload, "n_max"), _index(payload, "m_max")
         cos = [np.zeros(max(0, (n_max - m) // 2 + 1)) for m in range(m_max + 1)]
         sin = [np.zeros(0)] + [np.zeros_like(c) for c in cos[1:]]
-        for c in payload["coefficients"]:
-            idx = ZernikeIndex(int(c["n"]), int(c["m"]))
+        for i, c in enumerate(payload["coefficients"]):
+            where = f"coefficient {i}: "
+            idx = ZernikeIndex(_index(c, "n", where), _index(c, "m", where))
             if idx.n > n_max or abs(idx.m) > m_max:
                 raise ValueError(f"coefficient index {idx} outside (n_max, m_max) box")
             (cos if idx.m >= 0 else sin)[abs(idx.m)][idx.k] = float(c["alpha"])

@@ -1,6 +1,7 @@
 """Disk quadrature, Zernike projection, reconstruction, and error maps."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +260,20 @@ class TestJsonRoundTrip:
   ]
 }
 """
+
+
+@pytest.mark.parametrize("coefficient, key, value", [
+    (None, "n_max", "4"), (None, "n_max", 4.5), (None, "m_max", True), (None, "n_max", float("inf")),
+    (None, "m_max", -1), (1, "n", 2.7), (1, "n", True), (1, "m", True), (1, "m", -0.5), (1, "m", "2"),
+    (1, "n", float("nan")), (1, "m", float("-inf")), (1, "n", None),
+])
+def test_expansion_indices_must_be_whole_numbers(coefficient, key, value):
+    payload = {"amplitude": 1.0, "n_max": 4, "m_max": 2, "coefficients": [
+        {"n": 0, "m": 0, "alpha": 0.5}, {"n": 2, "m": -2, "alpha": 0.25}]}
+    (payload if coefficient is None else payload["coefficients"][coefficient])[key] = value
+    where = "" if coefficient is None else f"coefficient {coefficient}: "
+    with pytest.raises(ConfigError, match=re.escape(f"expansion {where}{key} must be a whole number")):
+        expansion_from_json_dict(payload)
 
 
 def test_expansion_box_validation():
