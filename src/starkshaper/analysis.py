@@ -466,7 +466,7 @@ def run_scenario(
     schedule = planner(
         expansion, DEFAULT_U_RAD_S, DEFAULT_OMEGA_RAD_S, pattern_peak=pattern.peak_value()
     )
-    report = validate_schedule(schedule, DEFAULT_OMEGA_RAD_S)
+    report = validate_schedule(schedule)
 
     result = evolve_exact(crystal, schedule, tol=tol)
     theta_target = target_phases(

@@ -107,7 +107,7 @@ def cmd_plan(config_path, expansion_path, out):
         exp, cfg.u_rad_s, cfg.omega_rad_s, psi=cfg.psi,
         pattern_peak=pattern.peak_value(),
     )
-    report = validate_schedule(schedule, cfg.omega_rad_s)
+    report = validate_schedule(schedule)
     save_schedule(schedule, out / "schedule.json")
     payload = {
         "ok": report.ok,

@@ -356,13 +356,12 @@ class ValidationReport:
     metrics: dict
 
 
-def validate_schedule(schedule: PulseSchedule, omega_rad_s: float | None = None) -> ValidationReport:
+def validate_schedule(schedule: PulseSchedule) -> ValidationReport:
     """Diagnostics: commensurability, precompensation margins, linear-regime
     margin, wall time.  Never raises; structural problems come back as
     warnings with ok=False."""
-    omega = schedule.omega_rad_s if omega_rad_s is None else omega_rad_s
     warnings: list[str] = []
-    period = 2.0 * np.pi / omega
+    period = 2.0 * np.pi / schedule.omega_rad_s
 
     seg_metrics = []
     for i, seg in enumerate(schedule.segments):
