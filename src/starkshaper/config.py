@@ -1,5 +1,11 @@
 """Run-configuration ingestion: one YAML file -> a validated RunConfig.
 
+`_CONFIG_TABLE` lists every key a config may hold and the kind of value
+each takes; `_check` walks it and refuses the first key or value that does
+not fit, naming its path.  Numbers must be finite, and booleans and
+strings are never read as numbers.  RunConfig then checks the rules that
+span fields.
+
 Frequencies are accepted either in Hz (`u_hz`, `omega_hz`) or directly in
 rad/s (`u_rad_s`, `omega_rad_s`); exactly one spelling per quantity must
 be present, so a config can never be silently off by 2*pi.
@@ -11,15 +17,16 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import yaml
 
 from .errors import ConfigError
 from .patterns import TargetPattern, make_pattern
 from .planner import DEFAULT_PSI
+from .specfun import is_count
 
 TWO_PI = 2.0 * np.pi
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -40,76 +47,64 @@ _ConfigLoader.add_implicit_resolver(
     list("-+0123456789."),
 )
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["pattern", "decomposition", "drive", "mode"],
-    "properties": {
-        "pattern": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind", "amplitude"],
-            "properties": {
-                "kind": {
-                    "enum": ["annulus", "elliptical_gaussian",
-                             "displaced_gaussian", "tabulated"],
-                },
-                "amplitude": {"type": "number"},
-                "params": {"type": "object"},
-            },
-        },
-        "decomposition": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["n_max", "m_max"],
-            "properties": {
-                "n_max": {"type": "integer", "minimum": 0},
-                "m_max": {"type": "integer", "minimum": 0},
-            },
-        },
-        "drive": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "u_hz": {"type": "number", "exclusiveMinimum": 0},
-                "u_rad_s": {"type": "number", "exclusiveMinimum": 0},
-                "omega_hz": {"type": "number", "exclusiveMinimum": 0},
-                "omega_rad_s": {"type": "number", "exclusiveMinimum": 0},
-                "psi": {"type": "number"},
-            },
-        },
-        "mode": {"enum": ["serial", "parallel"]},
-        "crystal": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "shells": {"type": "integer", "minimum": 1},
-                "spacing": {"type": "number", "exclusiveMinimum": 0},
-                "orientation": {"type": "number"},
-            },
-        },
-        "simulation": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tolerance": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "rwa_study": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "omega_hz": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 1},
-                "omega_rad_s": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 1},
-                "amplitude": {"type": "number", "exclusiveMinimum": 0},
-                "order": {"type": "integer", "minimum": 1},
-                "sample_count": {"type": "integer", "minimum": 2},
-                "t_max_s": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-    },
-}
+# What a config may hold.  A (required keys, {key: kind}) pair is a mapping
+# of exactly those keys; "real" is a finite number, "positive" one in
+# (0, inf); an int n is a whole number >= n; a frozenset lists the allowed
+# strings; [kind] is a non-empty list of kind; "mapping" is any mapping.
+_CONFIG_TABLE = (("pattern", "decomposition", "drive", "mode"), {
+    "pattern": (("kind", "amplitude"), {
+        "kind": frozenset({"annulus", "elliptical_gaussian", "displaced_gaussian", "tabulated"}),
+        "amplitude": "real",
+        "params": "mapping",
+    }),
+    "decomposition": (("n_max", "m_max"), {"n_max": 0, "m_max": 0}),
+    "drive": ((), {"u_hz": "positive", "u_rad_s": "positive", "omega_hz": "positive",
+                   "omega_rad_s": "positive", "psi": "real"}),
+    "mode": frozenset({"serial", "parallel"}),
+    "crystal": ((), {"shells": 1, "spacing": "positive", "orientation": "real"}),
+    "simulation": ((), {"tolerance": "positive"}),
+    "rwa_study": ((), {"omega_hz": ["positive"], "omega_rad_s": ["positive"],
+                       "amplitude": "positive", "order": 1, "sample_count": 2,
+                       "t_max_s": "positive"}),
+})
+
+
+def _check(value, kind, path: str = "") -> None:
+    """Refuse `value` unless it is of `kind` (see _CONFIG_TABLE), naming
+    the path of the first offending value."""
+    where = path or "<root>"
+    if isinstance(kind, tuple):
+        required, fields = kind
+        if not isinstance(value, dict):
+            raise ConfigError(f"config invalid at {where}: {value!r} is not a mapping")
+        for key in value:
+            if key not in fields:
+                raise ConfigError(f"config invalid at {where}: unknown key {key!r}")
+        for key in required:
+            if key not in value:
+                raise ConfigError(f"config invalid at {where}: missing key {key!r}")
+        for key, item in value.items():
+            _check(item, fields[key], f"{path}/{key}" if path else key)
+        return
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"config invalid at {where}: {value!r} is not a non-empty list")
+        for i, item in enumerate(value):
+            _check(item, kind[0], f"{path}/{i}")
+        return
+    if isinstance(kind, frozenset):
+        ok, must = isinstance(value, str) and value in kind, f"one of {sorted(kind)}"
+    elif isinstance(kind, int):
+        ok, must = is_count(value) and value >= kind, f"a whole number >= {kind}"
+    elif kind == "mapping":
+        ok, must = isinstance(value, dict), "a mapping"
+    else:
+        # the bound is false for NaN, inf and an int too large for a float
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= _FLOAT_MAX and (kind == "real" or value > 0))
+        must = "a finite number" if kind == "real" else "a finite number > 0"
+    if not ok:
+        raise ConfigError(f"config invalid at {where}: {value!r} is not {must}")
 
 
 def _rate(section: dict, name: str, where: str) -> float:
@@ -142,18 +137,15 @@ class RunConfig:
     rwa: dict | None = None
 
     def __post_init__(self) -> None:
-        # jsonschema's exclusiveMinimum lets NaN through, so check here
-        for key in ("pattern_amplitude", "psi", "u_rad_s", "omega_rad_s", "tolerance"):
-            value = getattr(self, key)
-            if not np.isfinite(value):
-                raise ConfigError(f"config {key} must be finite, got {value}")
         if self.m_max > self.n_max:
             raise ConfigError(
                 f"decomposition needs n_max >= m_max, got n_max={self.n_max}, "
                 f"m_max={self.m_max}"
             )
-        if self.u_rad_s <= 0 or self.omega_rad_s <= 0:
-            raise ConfigError("drive rates must be positive")
+        rates = [self.u_rad_s, self.omega_rad_s, *(self.rwa or {}).get("omega_list", ())]
+        if not all(0 < rate < np.inf for rate in rates):
+            # a finite rate in Hz can still overflow when multiplied by 2 pi
+            raise ConfigError(f"rates must be finite in rad/s, got {rates}")
         if self.tolerance < 1e-13:
             raise ConfigError(
                 f"tolerance {self.tolerance:g} is below the certifiable 1e-13 floor"
@@ -164,15 +156,8 @@ class RunConfig:
                             self.pattern_params)
 
 
-# Built once: jsonschema.validate re-checks the schema on every call.
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-
-
 def config_from_dict(payload: dict) -> RunConfig:
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(payload))
-    if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {error.message}")
+    _check(payload, _CONFIG_TABLE)
 
     drive = payload["drive"]
     u = _rate(drive, "u", "drive")

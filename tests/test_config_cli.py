@@ -2,18 +2,20 @@
 
 import dataclasses
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from starkshaper import analysis
 from starkshaper.cli import main
-from starkshaper.config import CONFIG_SCHEMA, config_from_dict, load_config
+from starkshaper.config import config_from_dict, load_config
 from starkshaper.errors import ConfigError
 from starkshaper.planner import (
     DeformationComponent,
@@ -152,6 +154,10 @@ class TestConfigParsing:
         payload["simulation"] = {"tolerance": 1e-14}
         with pytest.raises(ConfigError, match="floor"):
             config_from_dict(payload)
+        # finite in Hz, but not once multiplied by 2 pi
+        for edit in ({"drive.u_hz": 1e308}, {"rwa_study.omega_hz": [1e308]}):
+            with pytest.raises(ConfigError, match="rates must be finite in rad/s"):
+                config_from_dict(edited(edit))
 
     def test_rwa_section(self):
         payload = json.loads(json.dumps(BASE))
@@ -176,10 +182,23 @@ mode: serial
         cfg = load_config(path)
         assert cfg.u_rad_s == pytest.approx(2 * np.pi * 1e4, rel=1e-15)
 
-    def test_schema_is_a_valid_draft_2020_12_schema(self):
-        # the validator is built once at import, without validate()'s
-        # per-call meta-schema check
-        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+    def test_cli_import_loads_only_the_runtime_dependencies(self):
+        # the config check is plain Python, so starting a command pulls in
+        # no distribution beyond those pyproject.toml declares
+        code = """if True:
+            import json, sys
+            from importlib.metadata import packages_distributions
+            before = set(sys.modules)
+            import starkshaper.cli, starkshaper.analysis
+            names = {m.partition(".")[0] for m in set(sys.modules) - before}
+            owners = packages_distributions()
+            print(json.dumps(sorted({d for n in names for d in owners.get(n, ())})))
+        """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert set(json.loads(done.stdout)) <= {"numpy", "click", "PyYAML"}
 
     def test_loader_failures(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -220,6 +239,16 @@ crystal: {shells: 3, spacing: 0.3}
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture(scope="module")
+def small_schedule(tmp_path_factory):
+    """schedule.json planned from SMALL_ANNULUS_YAML."""
+    out = tmp_path_factory.mktemp("small")
+    cfg = write_yaml(out / "run.yaml", SMALL_ANNULUS_YAML)
+    for args in (["decompose"], ["plan", "--expansion", str(out / "expansion.json")]):
+        assert CliRunner().invoke(main, [*args, "--config", cfg, "--out", str(out)]).exit_code == 0
+    return str(out / "schedule.json")
 
 
 class TestCliPipeline:
@@ -361,11 +390,13 @@ mode: serial
         res = runner.invoke(main, ["decompose", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
 
-    @pytest.mark.parametrize("key, field", [
-        ("amplitude", "pattern_amplitude"), ("psi", "psi"), ("u_rad_s", "u_rad_s"),
-        ("omega_rad_s", "omega_rad_s"), ("tolerance", "tolerance"),
-    ])
-    def test_nan_in_config_is_exit_2_naming_the_key(self, runner, tmp_path, key, field):
+    # the ids name the RunConfig field each key feeds
+    @pytest.mark.parametrize("key, path", [
+        ("amplitude", "pattern/amplitude"), ("psi", "drive/psi"), ("u_rad_s", "drive/u_rad_s"),
+        ("omega_rad_s", "drive/omega_rad_s"), ("tolerance", "simulation/tolerance"),
+    ], ids=["amplitude-pattern_amplitude", "psi-psi", "u_rad_s-u_rad_s",
+            "omega_rad_s-omega_rad_s", "tolerance-tolerance"])
+    def test_nan_in_config_is_exit_2_naming_the_key(self, runner, tmp_path, key, path):
         values = {"amplitude": 1.0, "psi": -1.5, "u_rad_s": 6.3e4, "omega_rad_s": 1.1e6,
                   "tolerance": 1e-12, key: ".nan"}
         cfg = write_yaml(tmp_path / "nan.yaml", """
@@ -377,7 +408,25 @@ simulation: {{tolerance: {tolerance}}}
 """.format(**values))
         res = runner.invoke(main, ["decompose", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 2, res.output
-        assert f"config {field} must be finite, got nan" in res.output
+        assert f"config invalid at {path}: nan is not a finite number" in res.output
+
+    @pytest.mark.parametrize("command, edit, path", [
+        ("simulate", "crystal: {shells: 3, spacing: .nan}", "crystal/spacing"),
+        ("simulate", "crystal: {shells: 3, spacing: 0.3, orientation: .inf}", "crystal/orientation"),
+        ("simulate", "drive: {u_hz: 1%s, omega_hz: 1.8e5}" % ("0" * 400), "drive/u_hz"),
+        ("rwa-study", "rwa_study: {omega_hz: [.nan]}", "rwa_study/omega_hz/0"),
+        ("rwa-study", "rwa_study: {omega_hz: [1.8e5], t_max_s: .inf}", "rwa_study/t_max_s"),
+    ], ids=["spacing-nan", "orientation-inf", "u_hz-401-digits", "omega_hz-nan", "t_max_s-inf"])
+    def test_non_finite_config_value_is_exit_2_naming_the_path(self, runner, tmp_path, small_schedule,
+                                                               command, edit, path):
+        section = edit.partition(":")[0]
+        body = "\n".join(line for line in SMALL_ANNULUS_YAML.splitlines()
+                         if not line.startswith(f"{section}:"))
+        cfg = write_yaml(tmp_path / "bad.yaml", f"{body}\n{edit}\n")
+        extra = ["--schedule", small_schedule] if command == "simulate" else []
+        res = runner.invoke(main, [command, "--config", cfg, *extra, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert f"config invalid at {path}: " in res.output and "finite number" in res.output
 
     def test_quadrature_error_is_exit_3(self, runner, tmp_path):
         cfg = write_yaml(tmp_path / "sharp.yaml", """
