@@ -198,7 +198,7 @@ mode: serial
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
-        assert set(json.loads(done.stdout)) <= {"numpy", "click", "PyYAML"}
+        assert set(json.loads(done.stdout)) <= {"starkshaper", "numpy", "click", "PyYAML"}
 
     def test_loader_failures(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
