@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from starkshaper.patterns import (
     AnnulusPattern,
     DisplacedGaussianPattern,
     EllipticalGaussianPattern,
+    make_pattern,
 )
 from starkshaper.specfun import ZernikeIndex, zernike_eval
 from starkshaper.zernike import (
@@ -193,7 +195,7 @@ class TestErrorMap:
 
     def test_map_csv_bytes_match_per_cell_format(self, tmp_path):
         # Exponent forms, signed zero, the smallest subnormal and a
-        # 17-digit value, against the per-cell f-string rendering.
+        # 17-digit value.
         values = [0.0, -0.0, 5e-324, 1e-17, 1.0, 0.1 + 0.2]
         rho = np.array([0.0, 1e-17, 0.1 + 0.2, 1.0])
         phi = np.array([0.0, -0.0, 5e-324, 1.0, 0.1 + 0.2])
@@ -201,12 +203,74 @@ class TestErrorMap:
         em = ErrorMap(rho=rho, phi=phi, error=error, disk_max=1.0)
         path = tmp_path / "map.csv"
         em.write_csv(path)
-        expected = "rho,phi,error\n" + "".join(
-            f"{r:.17g},{p:.17g},{error[i, j]:.17g}\n"
-            for i, r in enumerate(rho)
-            for j, p in enumerate(phi)
-        )
-        assert path.read_bytes() == expected.encode()
+        assert path.read_bytes() == reference_csv(em)
+
+    @pytest.mark.parametrize("kind, amplitude, n_max, m_max", [
+        ("displaced_gaussian", 3.0, 40, 20),
+        ("elliptical_gaussian", 0.5, 32, 12),
+    ])
+    def test_registry_map_bytes_match_reference(self, tmp_path, kind, amplitude, n_max, m_max):
+        pat = make_pattern(kind, amplitude)
+        em = truncation_error_map(pat, decompose(pat, n_max=n_max, m_max=m_max))
+        path = tmp_path / "map.csv"
+        em.write_csv(path)
+        assert path.read_bytes() == reference_csv(em)
+
+    def test_hard_doubles_bytes_match_reference(self, tmp_path):
+        values = hard_doubles(64 + 512 + 64 * 512)
+        em = ErrorMap(rho=values[:64], phi=values[64:576], error=values[576:].reshape(64, 512),
+                      disk_max=1.0)
+        path = tmp_path / "map.csv"
+        em.write_csv(path)
+        assert path.read_bytes() == reference_csv(em)
+
+    def test_write_allocates_little(self, tmp_path):
+        # The writer works through the map in blocks; one call may not
+        # hold the 8 MB file, or a row-sized string per cell, at once.
+        pat = make_pattern("displaced_gaussian", 3.0)
+        em = truncation_error_map(pat, decompose(pat, n_max=40, m_max=20))
+        tracemalloc.start()
+        try:
+            em.write_csv(tmp_path / "map.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+
+def reference_csv(em: ErrorMap) -> bytes:
+    """error_map.csv as one f-string per cell."""
+    return ("rho,phi,error\n" + "".join(
+        f"{r:.17g},{p:.17g},{v:.17g}\n"
+        for r, row in zip(em.rho.tolist(), em.error.tolist())
+        for p, v in zip(em.phi.tolist(), row)
+    )).encode()
+
+
+def hard_doubles(size: int, seed: int = 20) -> np.ndarray:
+    """`size` shuffled doubles: one of each binade (subnormals included)
+    with a random mantissa and sign, signed zeros, infinities, NaN, the
+    extreme subnormals, each double nearest 10**k with its two neighbours,
+    17-digit decimals that end in 5 at the 18th digit (ties to a 17-digit
+    rounding, up to the binary error), and random values from 1e-45 to 1e45."""
+    rng = np.random.default_rng(seed)
+    binades = (np.arange(2047, dtype=np.uint64) << np.uint64(52)) | rng.integers(
+        0, 2**52, 2047, dtype=np.uint64)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    ties = np.array([float(f"{d}5e{e}") for d, e in zip(
+        rng.integers(10**16, 10**17, 2000).tolist(), rng.integers(-60, 40, 2000).tolist())])
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072009e-308,
+                        2.2250738585072014e-308, 1.7976931348623157e308, 9.9999999999999999e-5,
+                        0.5, 1.0, 0.1, 1e16, 1e17, 123456789012345680.0])
+    fixed = np.concatenate([
+        binades.view(float), special, powers, np.nextafter(powers, 0.0),
+        np.nextafter(powers, np.inf), ties,
+    ])
+    fixed = fixed * np.where(rng.random(fixed.size) < 0.5, -1.0, 1.0)
+    rest = rng.random(size - fixed.size) * 10.0 ** rng.uniform(-45, 45, size - fixed.size)
+    values = np.concatenate([fixed, rest])
+    rng.shuffle(values)
+    return values
 
 
 class TestJsonRoundTrip:
