@@ -18,6 +18,7 @@ stalls convergence near 1e-6.
 from __future__ import annotations
 
 import json
+import mmap
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -212,13 +213,207 @@ class ErrorMap:
     ion_max: float | None = None
 
     def write_csv(self, path: str | Path) -> None:
-        # `%` and `format` share the .17g conversion, so the bytes equal a
-        # per-cell f-string; one row at a time keeps the grid's floats small.
-        line = "".join(f"%s,{p:.17g},%.17g\n" for p in self.phi.tolist())
-        with Path(path).open("w") as fh:
-            fh.write("rho,phi,error\n")
-            for r, row in zip(self.rho.tolist(), self.error):
-                fh.write(line.replace("%s", f"{r:.17g}") % tuple(row.tolist()))
+        """rho,phi,error rows, every number exactly as `'%.17g' % x` writes it.
+
+        The grid rows go through in blocks: each block's cells are laid out
+        by `_G17` into NUL-padded fixed-width byte rows beside the rho and
+        phi prefixes, which Python formats once per call, and the block is
+        written with its NUL bytes dropped.  `_G17` explains why the digits
+        are exact and which cells it leaves to `'%.17g' %`."""
+        rho_txt = [b"%.17g," % r for r in self.rho.tolist()]
+        phi_txt = [b"%.17g," % p for p in self.phi.tolist()]
+        error = np.asarray(self.error, dtype=float)
+        wr, wp = max(map(len, rho_txt), default=1), max(map(len, phi_txt), default=1)
+        width = wr + wp + _G17_WIDTH + 1
+        rows = max(1, _G17_BLOCK_CELLS // max(len(phi_txt), 1))
+        g17 = _G17(rows * len(phi_txt), width)
+        line = g17.lines.reshape(rows, len(phi_txt), width)
+        line[:, :, wr:wr + wp] = np.array(phi_txt, f"S{wp}").view(np.uint8).reshape(len(phi_txt), wp)
+        line[:, :, -1] = ord("\n")
+        rho_field = np.array(rho_txt, f"S{wr}").view(np.uint8).reshape(len(rho_txt), wr)
+        row_bytes = len(phi_txt) * width
+        with Path(path).open("wb") as fh:
+            fh.write(b"rho,phi,error\n")
+            for start in range(0, len(rho_txt), rows):
+                block = error[start:start + rows]
+                line[:len(block), :, :wr] = rho_field[start:start + rows, None, :]
+                g17(block.reshape(-1), g17.lines[:block.size, wr + wp:-1])
+                for r in range(len(block)):
+                    fh.write(g17.arena[r * row_bytes:(r + 1) * row_bytes].translate(None, b"\0"))
+
+
+# ---------------------------------------------------------------------------
+# '%.17g' for a block of doubles at a time
+
+_G17_X_MIN, _G17_X_MAX = -38, 43  # the decimal exponents _G17 lays out itself
+_G17_BAND = 1.5 * np.finfo(np.longdouble).eps * 1e17
+_G17_WIDTH = 43  # slots: sign, "0.000", 17 digits each followed by a point slot, "e+XX"
+_G17_BLOCK_CELLS = 4096
+
+
+def _g17_tables():
+    """The scale factors per exponent, the slot layout per (exponent, last
+    nonzero digit), and per four-digit group its digits interleaved with
+    0xFF point slots and its count of trailing zeros.  Built in small
+    dtypes: import-time temporaries would stay resident."""
+    tens = np.multiply.accumulate(np.r_[1, np.full(27, 10)].astype(np.longdouble))  # exact
+    p = 16 - np.arange(_G17_X_MIN - 1, _G17_X_MAX + 2)
+    scale = np.stack([tens[np.clip(p, 0, 27)], tens[np.clip(p - 27, 0, 27)], tens[np.clip(-p, 0, 27)]])
+    x = np.arange(_G17_X_MIN, _G17_X_MAX + 1)
+    fixed = (-4 <= x) & (x < 17)
+    last = np.arange(17)
+    layout = np.zeros((x.size, 17, _G17_WIDTH), np.uint8)
+    kept = np.where(fixed[:, None], np.maximum(last, x[:, None]), last)  # last digit written
+    layout[:, :, 6:39:2] = np.where(last <= kept[:, :, None], 0xFF, 0)
+    point = np.where(fixed, x, 0)  # the digit a point follows, where one is written
+    i, j = np.nonzero(~(fixed & (x < 0))[:, None] & (last > point[:, None]))
+    layout[i, j, 7 + 2 * point[i]] = ord(".")
+    for e in range(-4, 0):
+        layout[e - _G17_X_MIN, :, 1:2 - e] = np.frombuffer(b"0." + b"0" * (-e - 1), np.uint8)
+    exponents = b"".join(b"e%+03d" % e for e in x[~fixed])
+    layout[~fixed, :, 39:] = np.frombuffer(exponents, np.uint8).reshape(-1, 1, 4)
+    group = np.arange(10000, dtype=np.uint16)
+    quads = np.full((10000, 8), 0xFF, np.uint8)
+    zeros = np.zeros(10000, np.uint8)
+    for k, unit in enumerate((1000, 100, 10, 1)):
+        quads[:, 2 * k] = 48 + group // unit % 10
+        zeros += group % (10 * unit) == 0
+    return scale, layout.reshape(-1, _G17_WIDTH), quads.view(np.uint64).ravel(), zeros
+
+
+_G17_SCALE, _G17_LAYOUT, _G17_QUADS, _G17_QUAD_ZEROS = _g17_tables()
+
+
+class _G17:
+    """Writes `'%.17g' % v` for up to `cells` doubles into rows of
+    _G17_WIDTH NUL-padded ASCII slots, from buffers allocated once.
+
+    For finite nonzero v with decimal exponent X, the 17 digits are
+    N = round(y), y = |v| * 10**(16 - X).  y is formed in longdouble, where
+    10**k is exact up to k = 27 (5**27 < 2**64): one factor for 16 - X <= 27,
+    two up to 54, one division for X > 16.  So y carries at most two
+    roundings, an error below eps * 1e17 on y < 1e17.  X comes from
+    floor(log10 |v|), moved by one where trunc(y) leaves [1e16, 1e17); N is
+    trunc(y) plus one where frac(y) > 1/2, and N = 1e17 becomes 1e16 with
+    X + 1.  This is the correctly rounded N unless the exact fraction can
+    lie on the other side of 1/2, so cells whose frac(y) lies within
+    _G17_BAND = 1.5 eps 1e17 of 1/2 are formatted by `'%.17g' %` instead,
+    as are zero, NaN, +-inf and X outside [-38, 43].  Where longdouble is a
+    plain double the band exceeds 1/2 and every cell falls back.
+
+    The digits go to fixed slots (each followed by a point slot); a
+    table row per (X, last nonzero digit) supplies the "0.000" prefix, the
+    point and the exponent by Python's `g` rules and masks the stripped
+    trailing zeros to NUL."""
+
+    def __init__(self, cells: int, width: int):
+        # One anonymous map holds `cells` output rows of `width` bytes
+        # (`lines`; the caller picks the slot columns) and every work
+        # buffer.  It is unmapped when the last view of it goes; heap
+        # buffers of this size stayed resident after each map and raised
+        # the process's peak RSS by 1-2 MiB.
+        fields = (("lines", np.uint8, (cells, width)), ("digits", np.uint64, (cells, 5)),
+                  ("groups", np.intp, (4, cells)), ("y", np.longdouble, (cells,)),
+                  ("mag", float, (cells,)), ("exp", np.intp, (cells,)), ("n", np.int64, (cells,)),
+                  ("q", np.int64, (cells,)), ("ok", bool, (cells,)), ("flag", bool, (cells,)),
+                  ("zeros", np.uint8, (cells,)), ("more", np.uint8, (cells,)))
+        sizes = [-(-np.dtype(t).itemsize * int(np.prod(shape)) // 16) * 16 for _, t, shape in fields]
+        self.arena = mmap.mmap(-1, max(sum(sizes), 1))
+        offset = 0
+        for (name, dtype, shape), size in zip(fields, sizes):
+            view = np.frombuffer(self.arena, dtype, int(np.prod(shape)), offset).reshape(shape)
+            setattr(self, name, view)
+            offset += size
+        # bytes 6, 7 of a cell's digits: leading digit and a point slot,
+        # then four groups of four digits and point slots
+        self.digits.fill(np.iinfo(np.uint64).max)
+
+    @staticmethod
+    def _scale(mag, exp, out) -> None:
+        """out = mag * 10**(16 - exp) in longdouble, exp in [X_MIN - 1, X_MAX + 1]."""
+        i = exp - (_G17_X_MIN - 1)
+        np.multiply(mag, _G17_SCALE[0][i], out=out)
+        out *= _G17_SCALE[1][i]
+        out /= _G17_SCALE[2][i]
+
+    def __call__(self, v: np.ndarray, slots: np.ndarray) -> None:
+        size = v.size
+        mag, ok, flag, exp, y, n, q, zeros, more = (
+            b[:size] for b in (self.mag, self.ok, self.flag, self.exp, self.y,
+                               self.n, self.q, self.zeros, self.more))
+        groups, digits = self.groups[:, :size], self.digits[:size]
+        np.abs(v, out=mag)
+        log = q.view(float)  # q is free until the digit groups
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log10(mag, out=log)
+        np.floor(log, out=log)
+        np.less_equal(_G17_X_MIN, log, out=ok)  # false for 0, NaN and inf too
+        np.greater_equal(_G17_X_MAX, log, out=flag)
+        ok &= flag
+        np.copyto(mag, 1.0, where=~ok)
+        np.copyto(log, 0.0, where=~ok)
+        np.copyto(exp, log, casting="unsafe")
+        self._scale(mag, exp, y)
+        np.copyto(n, y, casting="unsafe")  # trunc
+        off = np.flatnonzero((n < 10**16) | (n >= 10**17))
+        if off.size:
+            exp[off] += np.where(n[off] < 10**16, -1, 1)
+            y_off = np.empty(off.size, np.longdouble)
+            self._scale(mag[off], exp[off], y_off)
+            y[off] = y_off
+            n[off] = y_off.astype(np.int64)
+            ok[off] &= (n[off] >= 10**16) & (n[off] < 10**17)
+        frac = y
+        frac -= n
+        np.greater(frac, 0.5, out=flag)
+        n += flag
+        frac -= 0.5
+        np.abs(frac, out=frac)
+        np.greater(frac, _G17_BAND, out=flag)
+        ok &= flag
+        np.equal(n, 10**17, out=flag)
+        if flag.any():
+            n[flag] = 10**16
+            exp += flag
+        np.less_equal(_G17_X_MIN, exp, out=flag)
+        ok &= flag
+        np.greater_equal(_G17_X_MAX, exp, out=flag)
+        ok &= flag
+
+        # four-digit groups, least significant first, then the leading digit
+        np.floor_divide(n, 10**4, out=q)
+        for g in groups:
+            np.multiply(q, 10**4, out=g)
+            np.subtract(n, g, out=g)
+            n, q = q, n
+            np.floor_divide(n, 10**4, out=q)
+        ascii = digits.view(np.uint8)
+        np.add(n, 48, out=ascii[:, 6], casting="unsafe")
+        for k in range(4):
+            np.take(_G17_QUADS, groups[3 - k], out=digits[:, 1 + k], mode="clip")
+        np.take(_G17_QUAD_ZEROS, groups[0], out=zeros, mode="clip")
+        for k in (1, 2, 3):
+            np.equal(zeros, 4 * k, out=flag)
+            if not flag.any():
+                break
+            np.take(_G17_QUAD_ZEROS, groups[k], out=more, mode="clip")
+            more *= flag
+            zeros += more
+
+        # layout row (X, 16 - trailing zeros), digits masked into it
+        np.clip(exp, _G17_X_MIN, _G17_X_MAX, out=exp)
+        exp -= _G17_X_MIN
+        exp *= 17
+        exp += 16
+        exp -= zeros
+        np.take(_G17_LAYOUT, exp, axis=0, out=slots, mode="clip")
+        slots[:, 6:39] &= ascii[:, 6:39]
+        np.signbit(v, out=flag)
+        np.copyto(slots[:, 0], ord("-"), where=flag)
+        fallback = np.flatnonzero(~ok)
+        if fallback.size:
+            text = np.array(["%.17g" % x for x in v[fallback].tolist()], f"S{_G17_WIDTH}")
+            slots[fallback] = text.view(np.uint8).reshape(-1, _G17_WIDTH)
 
 
 def truncation_error_map(pattern: TargetPattern, exp: ZernikeExpansion, crystal=None) -> ErrorMap:
