@@ -41,7 +41,7 @@ from .crystal import IonCrystal
 from .errors import QuadratureError
 from .patterns import TargetPattern
 from .planner import PulseSchedule, PulseSegment, schedule_hash
-from .specfun import bessel_j
+from .specfun import bessel_j, zernike_radial_stack
 
 _BASE_SAMPLES = 16  # first trapezoid sum, per fastest/g harmonic
 _MAX_SAMPLES = 4096  # last doubling before the integral is declared unconverged
@@ -105,20 +105,29 @@ def target_phases(
 
 
 def _segment_tables(segment: PulseSegment, rho: np.ndarray):
-    """Evaluate the deformation's radial parts at the ion radii once.
+    """Evaluate the deformation's radial parts at the ion radii once, every
+    part from its slice of one radial stack over the segment's orders.
 
     Returns (delta0, orders, even, odd): the static m=0 offset (J,), the
     rotating orders, and per-order (J,) arrays (zeros where a parity is
     absent).
     """
     n = rho.size
+    parts = [p for c in segment.deformation.components for p in (c.even, c.odd) if p is not None]
+    radial_orders = sorted({p.order for p in parts})
+    stack = zernike_radial_stack(radial_orders, max((len(p.coeffs) for p in parts), default=1) - 1, rho)
+
+    def table(part):
+        if part is None:
+            return np.zeros(n)
+        return np.asarray(part.from_stack(stack[radial_orders.index(part.order)]), dtype=float)
+
     delta0 = np.zeros(n)
     orders: list[int] = []
     even: list[np.ndarray] = []
     odd: list[np.ndarray] = []
     for comp in segment.deformation.components:
-        e = np.asarray(comp.even(rho), dtype=float) if comp.even is not None else np.zeros(n)
-        o = np.asarray(comp.odd(rho), dtype=float) if comp.odd is not None else np.zeros(n)
+        e, o = table(comp.even), table(comp.odd)
         if comp.m == 0:
             delta0 = delta0 + e
         else:

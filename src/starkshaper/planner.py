@@ -45,7 +45,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, PrecompensationRangeError
-from .specfun import J1_PEAK_VALUE, J1_PEAK_X, inverse_j1, is_count, zernike_radial_sum
+from .specfun import (
+    J1_PEAK_VALUE, J1_PEAK_X, inverse_j1, is_count, zernike_radial_stack, zernike_radial_sum,
+)
 from .zernike import ZernikeExpansion
 
 DEFAULT_PSI = -np.pi / 2.0
@@ -103,8 +105,18 @@ class RadialProfile:
             out = arg
         return out + self.offset
 
+    def from_stack(self, stack) -> np.ndarray:
+        """The part at the radii of a precomputed radial stack, whose row k
+        holds R^order_{order+2k} (at least len(coeffs) rows)."""
+        coeffs = np.asarray(self.coeffs)
+        if np.any(coeffs):
+            arg = np.tensordot(coeffs, stack[:coeffs.size], axes=(0, 0))
+        else:
+            arg = np.zeros(stack.shape[1:])
+        return self.apply(self.scale * arg)
+
     def __call__(self, rho) -> np.ndarray:
-        return self.apply(self.argument(rho))
+        return self.from_stack(zernike_radial_stack(self.order, len(self.coeffs) - 1, rho))
 
     @cached_property
     def extremes(self) -> tuple[tuple[float, float], str | None]:

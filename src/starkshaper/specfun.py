@@ -191,21 +191,28 @@ class ZernikeIndex:
         return eps * np.pi / (2.0 * self.n + 2.0)
 
 
-def zernike_radial_stack(m: int, k_max: int, rho) -> np.ndarray:
+def zernike_radial_stack(m, k_max: int, rho) -> np.ndarray:
     """All radial polynomials R_{m+2k}^m(rho), k = 0..k_max, one sweep.
 
     Uses R_n^m(rho) = (-1)^k rho^m P_k^{(m,0)}(1 - 2 rho^2) with the
     three-term Jacobi recurrence, which is numerically stable upward (the
     explicit factorial sum loses digits past n ~ 20).  Returns an array of
-    shape (k_max + 1,) + rho.shape.
+    shape (k_max + 1,) + rho.shape.  `m` may also be a sequence of orders:
+    the recurrence then runs for all of them in the same k loop and the
+    result has shape (len(m), k_max + 1) + rho.shape, each order's slice
+    equal bit for bit to its own sweep.
     """
-    if m < 0:
+    orders = np.asarray(m, dtype=int)
+    if np.any(orders < 0):
         raise ValueError("radial polynomials take m >= 0")
     rho_arr = np.asarray(rho, dtype=float)
     x = 1.0 - 2.0 * rho_arr * rho_arr
-    rho_m = rho_arr**m if m else np.ones_like(rho_arr)
-    out = np.empty((k_max + 1,) + rho_arr.shape, dtype=float)
-    p_prev = np.ones_like(rho_arr)  # P_0
+    rho_m = np.array([rho_arr**k if k else np.ones_like(rho_arr) for k in orders.ravel().tolist()])
+    rho_m = rho_m.reshape(orders.shape + rho_arr.shape)
+    m = orders.reshape(orders.shape + (1,) * rho_arr.ndim)
+    stack = np.empty(orders.shape + (k_max + 1,) + rho_arr.shape, dtype=float)
+    out = np.moveaxis(stack, orders.ndim, 0)  # a view, indexed by k
+    p_prev = np.ones_like(rho_m)  # P_0
     out[0] = rho_m
     if k_max >= 1:
         p_cur = 0.5 * ((m + 2.0) * x + m)  # P_1^{(m,0)}
@@ -218,7 +225,7 @@ def zernike_radial_stack(m: int, k_max: int, rho) -> np.ndarray:
         p_next = (a2 * p_cur - a3 * p_prev) / a1
         p_prev, p_cur = p_cur, p_next
         out[k] = rho_m * p_cur if k % 2 == 0 else -rho_m * p_cur
-    return out
+    return stack
 
 
 def zernike_radial_sum(m: int, coeffs, rho) -> np.ndarray:
