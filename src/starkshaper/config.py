@@ -23,10 +23,9 @@ import yaml
 from .errors import ConfigError
 from .patterns import TargetPattern, make_pattern
 from .planner import DEFAULT_PSI
-from .specfun import is_count
+from .specfun import is_count, is_real
 
 TWO_PI = 2.0 * np.pi
-_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -99,9 +98,7 @@ def _check(value, kind, path: str = "") -> None:
     elif kind == "mapping":
         ok, must = isinstance(value, dict), "a mapping"
     else:
-        # the bound is false for NaN, inf and an int too large for a float
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and abs(value) <= _FLOAT_MAX and (kind == "real" or value > 0))
+        ok = is_real(value) and (kind == "real" or value > 0)
         must = "a finite number" if kind == "real" else "a finite number > 0"
     if not ok:
         raise ConfigError(f"config invalid at {where}: {value!r} is not {must}")

@@ -15,18 +15,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-
-_PEAK_SCAN_RHO = 1024
-_PEAK_SCAN_PHI = 256
+from .specfun import is_real
 
 
 class TargetPattern:
     """Base class: a dimensionless weight map F on the unit disk.
 
-    Subclasses set `kind`, implement `evaluate`, and should override
-    `peak_value` when the maximum of |F| is known in closed form (the
-    planner calibrates pulse durations against it, so an exact value keeps
-    gate times exact).
+    Subclasses set `kind` and implement `evaluate`, `params` and
+    `peak_value`, the exact maximum of |F| over the disk (the planner
+    calibrates pulse durations against it, so an exact value keeps gate
+    times exact).
     """
 
     kind: str
@@ -39,15 +37,19 @@ class TargetPattern:
         return self.evaluate(rho, phi)
 
     def peak_value(self) -> float:
-        """Max of |F| over the disk; dense-grid scan unless overridden."""
-        rho = np.linspace(0.0, 1.0, _PEAK_SCAN_RHO)
-        phi = np.linspace(0.0, 2.0 * np.pi, _PEAK_SCAN_PHI, endpoint=False)
-        vals = self.evaluate(rho[:, None], phi[None, :])
-        return float(np.max(np.abs(vals)))
+        """Max of |F| over the disk."""
+        raise NotImplementedError
 
     def params(self) -> dict:
         """Shape parameters, for config echo and report provenance."""
         raise NotImplementedError
+
+    def _check_numbers(self) -> None:
+        """Refuse an amplitude or shape parameter that is not a finite
+        number (a bool, a string, NaN or inf), naming it."""
+        for name, value in {"amplitude": self.amplitude, **self.params()}.items():
+            if not is_real(value):
+                raise ConfigError(f"{self.kind} parameter {name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,7 @@ class AnnulusPattern(TargetPattern):
     kind: str = field(default="annulus", init=False)
 
     def __post_init__(self) -> None:
+        self._check_numbers()
         if not (0.0 < self.r1 < self.r2 <= 1.0):
             raise ConfigError(f"annulus radii must satisfy 0 < r1 < r2 <= 1, got ({self.r1}, {self.r2})")
         if self.kappa <= 0:
@@ -101,6 +104,7 @@ class EllipticalGaussianPattern(TargetPattern):
     kind: str = field(default="elliptical_gaussian", init=False)
 
     def __post_init__(self) -> None:
+        self._check_numbers()
         if self.eta_x <= 0 or self.eta_y <= 0:
             raise ConfigError(f"gaussian widths must be positive, got ({self.eta_x}, {self.eta_y})")
 
@@ -133,6 +137,7 @@ class DisplacedGaussianPattern(TargetPattern):
     kind: str = field(default="displaced_gaussian", init=False)
 
     def __post_init__(self) -> None:
+        self._check_numbers()
         if self.eta <= 0:
             raise ConfigError(f"gaussian width must be positive, got {self.eta}")
         if np.hypot(self.delta_x, self.delta_y) >= 1.0:
@@ -200,6 +205,11 @@ class TabulatedPattern(TargetPattern):
         v10 = self.values[ir + 1, ip]
         v11 = self.values[ir + 1, ip_next]
         return (1 - tr) * ((1 - tp) * v00 + tp * v01) + tr * ((1 - tp) * v10 + tp * v11)
+
+    def peak_value(self) -> float:
+        # bilinear interpolation with rho clipped to the grid and phi
+        # wrapped attains its extremes at the nodes
+        return float(np.max(np.abs(self.values)))
 
     def params(self) -> dict:
         return {"rho_points": int(self.rho_grid.size), "phi_points": int(self.phi_grid.size)}

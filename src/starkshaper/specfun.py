@@ -18,6 +18,7 @@ from numpy.polynomial import Chebyshev
 MAX_BESSEL_ORDER = 64
 BESSEL_DOMAIN = 12.0
 
+_FLOAT_MAX = float(np.finfo(float).max)
 _SERIES_MAX_TERMS = 90
 _SERIES_TAIL = 1e-17
 
@@ -146,6 +147,14 @@ def inverse_j1(y) -> np.ndarray | float:
     if np.ndim(y) == 0:
         return float(x)
     return x
+
+
+def is_real(value) -> bool:
+    """An int or float, not a bool, with |value| <= the largest float:
+    strings, NaN, inf and integers too large for a float are refused, not
+    coerced."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= _FLOAT_MAX)
 
 
 def is_whole(value) -> bool:

@@ -27,7 +27,9 @@ import numpy as np
 
 from .errors import ConfigError, QuadratureError
 from .patterns import TargetPattern
-from .specfun import ZernikeIndex, is_count, is_whole, zernike_radial_stack, zernike_radial_sum
+from .specfun import (
+    ZernikeIndex, is_count, is_real, is_whole, zernike_radial_stack, zernike_radial_sum,
+)
 
 COEFFICIENT_EXPORT_FLOOR = 1e-12
 
@@ -449,30 +451,36 @@ def expansion_to_json_dict(exp: ZernikeExpansion) -> dict:
     }
 
 
-def _index(record: dict, key: str, where: str = "") -> int:
-    """record[key] as an int: booleans, strings, NaN, inf and fractions are
-    refused, and so is a negative value unless the key is m."""
+def _number(record: dict, key: str, where: str = ""):
+    """record[key], refused unless it is a finite number (amplitude, alpha),
+    a whole number (m) or a whole number >= 0 (n, n_max, m_max): booleans,
+    strings, NaN, inf and fractional indices are refused, not coerced."""
     value = record[key]
-    if not (is_whole if key == "m" else is_count)(value):
-        bound = "" if key == "m" else " >= 0"
-        raise ConfigError(f"expansion {where}{key} must be a whole number{bound}, got {value!r}")
-    return int(value)
+    check, must = {
+        "amplitude": (is_real, "a finite number"),
+        "alpha": (is_real, "a finite number"),
+        "m": (is_whole, "a whole number"),
+    }.get(key, (is_count, "a whole number >= 0"))
+    if not check(value):
+        raise ConfigError(f"expansion {where}{key} must be {must}, got {value!r}")
+    return value
 
 
 def expansion_from_json_dict(payload: dict) -> ZernikeExpansion:
     """Rebuild an expansion; coefficients the payload omits are 0.  Every
     index must be a valid (n, m) inside the (n_max, m_max) box."""
     try:
-        n_max, m_max = _index(payload, "n_max"), _index(payload, "m_max")
+        n_max, m_max = int(_number(payload, "n_max")), int(_number(payload, "m_max"))
         cos = [np.zeros(max(0, (n_max - m) // 2 + 1)) for m in range(m_max + 1)]
         sin = [np.zeros(0)] + [np.zeros_like(c) for c in cos[1:]]
         for i, c in enumerate(payload["coefficients"]):
             where = f"coefficient {i}: "
-            idx = ZernikeIndex(_index(c, "n", where), _index(c, "m", where))
+            idx = ZernikeIndex(int(_number(c, "n", where)), int(_number(c, "m", where)))
             if idx.n > n_max or abs(idx.m) > m_max:
                 raise ValueError(f"coefficient index {idx} outside (n_max, m_max) box")
-            (cos if idx.m >= 0 else sin)[abs(idx.m)][idx.k] = float(c["alpha"])
-        return ZernikeExpansion(float(payload["amplitude"]), n_max, m_max, tuple(cos), tuple(sin))
+            (cos if idx.m >= 0 else sin)[abs(idx.m)][idx.k] = _number(c, "alpha", where)
+        amplitude = float(_number(payload, "amplitude"))
+        return ZernikeExpansion(amplitude, n_max, m_max, tuple(cos), tuple(sin))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed expansion JSON: {exc!r}") from None
 

@@ -410,6 +410,24 @@ simulation: {{tolerance: {tolerance}}}
         assert res.exit_code == 2, res.output
         assert f"config invalid at {path}: nan is not a finite number" in res.output
 
+    @pytest.mark.parametrize("pattern, name, shown", [
+        ("{kind: elliptical_gaussian, amplitude: 0.5, params: {eta_x: .inf}}", "eta_x", "inf"),
+        ("{kind: annulus, amplitude: 1.0, params: {kappa: true}}", "kappa", "True"),
+        ("{kind: displaced_gaussian, amplitude: 3.0, params: {delta_x: .nan}}", "delta_x", "nan"),
+        ("{kind: annulus, amplitude: 1.0, params: {r1: '0.4'}}", "r1", "'0.4'"),
+    ])
+    def test_pattern_parameter_not_a_number_is_exit_2_naming_it(self, runner, tmp_path, pattern,
+                                                                name, shown):
+        cfg = write_yaml(tmp_path / "bad.yaml", f"""
+pattern: {pattern}
+decomposition: {{n_max: 18, m_max: 4}}
+drive: {{u_hz: 1.0e4, omega_hz: 1.8e5}}
+mode: serial
+""")
+        res = runner.invoke(main, ["decompose", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert f"parameter {name} must be a finite number, got {shown}" in res.output
+
     @pytest.mark.parametrize("command, edit, path", [
         ("simulate", "crystal: {shells: 3, spacing: .nan}", "crystal/spacing"),
         ("simulate", "crystal: {shells: 3, spacing: 0.3, orientation: .inf}", "crystal/orientation"),

@@ -7,6 +7,7 @@ from starkshaper.patterns import (
     AnnulusPattern,
     DisplacedGaussianPattern,
     EllipticalGaussianPattern,
+    TabulatedPattern,
     annulus,
     displaced_gaussian,
     elliptical_gaussian,
@@ -153,6 +154,14 @@ class TestTabulated:
         pat = tabulated_from_csv(path)
         assert pat(0.5, 0.0) == pytest.approx(0.5, abs=1e-12)
         assert pat.amplitude == pytest.approx(1.0, abs=1e-9)
+
+    def test_peak_is_the_largest_node_value(self):
+        # the only 1.0 sits on a node that a fixed scan grid misses
+        rho = np.linspace(0.0, 1.0, 11)
+        phi = 2 * np.pi * np.arange(7) / 7
+        values = np.full((11, 7), 0.25)
+        values[6, 1] = 1.0
+        assert TabulatedPattern(1.0, rho, phi, values).peak_value() == 1.0
 
     def test_incomplete_grid_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

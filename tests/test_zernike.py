@@ -348,6 +348,20 @@ def test_expansion_indices_must_be_whole_numbers(coefficient, key, value):
         expansion_from_json_dict(payload)
 
 
+@pytest.mark.parametrize("coefficient, key, value", [
+    (None, "amplitude", "0.5"), (None, "amplitude", True), (None, "amplitude", float("nan")),
+    (None, "amplitude", None), (0, "alpha", True), (0, "alpha", "0.5"),
+    (1, "alpha", float("inf")), (1, "alpha", 10**400),
+])
+def test_expansion_reals_must_be_finite_numbers(coefficient, key, value):
+    payload = {"amplitude": 1.0, "n_max": 4, "m_max": 2, "coefficients": [
+        {"n": 0, "m": 0, "alpha": 0.5}, {"n": 2, "m": -2, "alpha": 0.25}]}
+    (payload if coefficient is None else payload["coefficients"][coefficient])[key] = value
+    where = "" if coefficient is None else f"coefficient {coefficient}: "
+    with pytest.raises(ConfigError, match=re.escape(f"expansion {where}{key} must be a finite number")):
+        expansion_from_json_dict(payload)
+
+
 def test_expansion_box_validation():
     payload = {"amplitude": 1.0, "n_max": 4, "m_max": 2, "coefficients": [{"n": 6, "m": 2, "alpha": 1.0}]}
     with pytest.raises(ConfigError, match="outside"):
