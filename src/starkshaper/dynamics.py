@@ -403,17 +403,16 @@ def _static_coefficient_serial(segment: PulseSegment, crystal: IonCrystal) -> np
     chi = [np.arctan2(o, e) for e, o in zip(even, odd)]
     k_caps = [_tail_order(float(np.max(r))) for r in R]
 
-    # cache J_k(R_i) for the needed k range
-    jcache = []
-    for r, cap in zip(R, k_caps):
-        jcache.append({k: bessel_j(k, r) for k in range(-cap, cap + 1)})
-
+    # J_k(R_i), evaluated for the orders k that some static term uses
+    jcache: list[dict] = [{} for _ in R]
     coeff = np.zeros(len(crystal))
     for mult in segment.beatnotes:
         for ks in _constrained_indices(orders, k_caps, -mult):
             weight = np.ones(len(crystal))
             phase = psi + delta0 - mult * phi + (sum(ks) * np.pi / 2.0)
             for i, k in enumerate(ks):
+                if k not in jcache[i]:
+                    jcache[i][k] = bessel_j(k, R[i])
                 weight = weight * jcache[i][k]
                 phase = phase - k * chi[i]
             coeff = coeff + u * weight * np.cos(phase)
