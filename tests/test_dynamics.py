@@ -1,6 +1,7 @@
 """Spin-phase integration: quadrature vs analytic series, RWA limits,
 Bloch-vector conventions, and artifact export."""
 
+import dataclasses
 import json
 import re
 
@@ -22,13 +23,14 @@ from starkshaper.dynamics import (
     write_evolution_csv,
 )
 from starkshaper.errors import QuadratureError
-from starkshaper.patterns import annulus
+from starkshaper.patterns import annulus, make_pattern
 from starkshaper.planner import (
     DeformationComponent,
     MirrorDeformation,
     PulseSchedule,
     PulseSegment,
     RadialProfile,
+    plan_serial,
 )
 from starkshaper.specfun import bessel_j
 from starkshaper.zernike import decompose
@@ -361,6 +363,20 @@ class TestComposition:
             evolve_exact(CRYSTAL, single_order_schedule(3, 0.2, 35e-6), tol=1e-12),
         ]
         assert np.max(np.abs(total.theta - parts[0].theta - parts[1].theta)) < 1e-11
+
+    @pytest.mark.parametrize("orientation", [0.0, 0.3])
+    def test_schedule_phase_is_the_in_order_sum_of_its_segments_bit_for_bit(self, orientation):
+        # the ion tables of every segment come from one evaluation per
+        # schedule; each segment's phase must keep the bits it has alone
+        crystal = generate_hex_crystal(5, 0.2, orientation)
+        pattern = make_pattern("displaced_gaussian", 3.0)
+        schedule = plan_serial(
+            decompose(pattern, 40, 20), U0, OMEGA, pattern_peak=pattern.peak_value()
+        )
+        theta = np.zeros(len(crystal))
+        for seg in schedule.segments:
+            theta = theta + evolve_exact(crystal, dataclasses.replace(schedule, segments=(seg,))).theta
+        np.testing.assert_array_equal(evolve_exact(crystal, schedule).theta, theta)
 
     def test_metadata_records_method_and_hash(self):
         sched = single_order_schedule(2, 0.2, 30e-6)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starkshaper.crystal import generate_hex_crystal
 from starkshaper.errors import ConfigError, QuadratureError
 from starkshaper.patterns import (
     AnnulusPattern,
@@ -159,6 +160,23 @@ class TestRadialProfiles:
         np.testing.assert_allclose(
             exp.reconstruct(rho, phi), pointwise, rtol=0, atol=16 * np.finfo(float).eps
         )
+
+    def test_reconstruct_is_the_order_by_order_sum_bit_for_bit(self):
+        # A * sum_m (P^m cos m phi + Q^m sin m phi), accumulated in the same
+        # order, on the error map's grid and at the crystal's ions
+        exp = decompose(make_pattern("displaced_gaussian", 3.0), n_max=40, m_max=20)
+        crystal = generate_hex_crystal(5, 0.2)
+        grid = (np.linspace(0.0, 1.0, 256)[:, None],
+                np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)[None, :])
+        for rho, phi in (grid, (crystal.rho, crystal.phi)):
+            total = np.zeros(np.broadcast_shapes(rho.shape, phi.shape))
+            for m in range(exp.m_max + 1):
+                if m == 0:
+                    total += exp.even(0, rho)
+                else:
+                    total += exp.even(m, rho) * np.cos(m * phi) + exp.odd(m, rho) * np.sin(m * phi)
+            total *= exp.amplitude
+            np.testing.assert_array_equal(exp.reconstruct(rho, phi), total)
 
     def test_active_orders_for_elliptical(self):
         exp = decompose(EllipticalGaussianPattern(amplitude=0.5), n_max=26, m_max=10)
