@@ -30,6 +30,7 @@ from .crystal import IonCrystal, generate_hex_crystal, save_crystal_csv
 from .dynamics import (
     EvolutionResult,
     _phases,
+    _segment_tables,
     evolve_exact,
     evolve_rwa,
     infidelity,
@@ -195,20 +196,20 @@ def rwa_study(
         raise ConfigError(f"study window must be positive, got {t_max_s}")
 
     times = np.linspace(0.0, t_max_s, sample_count)
-    deformation = MirrorDeformation((DeformationComponent(m, even=RadialProfile(0, (amplitude,))),))
+    segment = PulseSegment(
+        deformation=MirrorDeformation((DeformationComponent(m, even=RadialProfile(0, (amplitude,))),)),
+        beatnotes=(m,), duration_s=t_max_s, u_rad_s=u_rad_s, psi=psi,
+    )
 
-    # the rim probe ion; the sample times and the commensurate checkpoints,
-    # the whole rotation periods inside the window, are certified to 1e-12
-    rim = (np.ones(1), np.zeros(1))
+    # the rim probe ion at (rho, phi) = (1, 0); the sample times and the
+    # commensurate checkpoints, the whole rotation periods inside the
+    # window, are certified to 1e-12
+    rim_tables = _segment_tables([segment], np.ones(1))[0]
     out = []
     for omega in omegas:
-        segment = PulseSegment(
-            deformation=deformation, beatnotes=(m,), duration_s=t_max_s,
-            u_rad_s=u_rad_s, psi=psi,
-        )
         period = TWO_PI / omega
         t_comm = period * np.arange(1, int(np.floor(t_max_s / period + 1e-9)) + 1)
-        theta = _phases(segment, *rim, omega, np.concatenate([times, t_comm]), 1e-12)[0]
+        theta = _phases(segment, rim_tables, np.zeros(1), omega, np.concatenate([times, t_comm]), 1e-12)[0]
         theta, theta_comm = theta[:sample_count], theta[sample_count:]
         theta_rwa = rwa_rate * times
         infid = infidelity(theta, theta_rwa)

@@ -40,8 +40,8 @@ import numpy as np
 from .crystal import IonCrystal
 from .errors import QuadratureError
 from .patterns import TargetPattern
-from .planner import PulseSchedule, PulseSegment, schedule_hash
-from .specfun import bessel_j, zernike_radial_stack
+from .planner import PulseSchedule, PulseSegment, evaluate_parts, schedule_hash
+from .specfun import bessel_j
 
 _BASE_SAMPLES = 16  # first trapezoid sum, per fastest/g harmonic
 _MAX_SAMPLES = 4096  # last doubling before the integral is declared unconverged
@@ -104,37 +104,37 @@ def target_phases(
 # segment bookkeeping
 
 
-def _segment_tables(segment: PulseSegment, rho: np.ndarray):
-    """Evaluate the deformation's radial parts at the ion radii once, every
-    part from its slice of one radial stack over the segment's orders.
+def _segment_tables(segments, rho: np.ndarray) -> list[tuple]:
+    """Evaluate the radial parts of every segment at the ion radii (J,)
+    at once: `evaluate_parts` sweeps the radial stack once for all of them
+    and inverts every j1inv part in one call, and each value keeps the bits
+    it has when its segment is evaluated alone.
 
-    Returns (delta0, orders, even, odd): the static m=0 offset (J,), the
-    rotating orders, and per-order (J,) arrays (zeros where a parity is
-    absent).
+    Returns per segment (delta0, orders, even, odd): the static m=0 offset
+    (J,), the rotating orders, and per-order (J,) arrays (zeros where a
+    parity is absent).
     """
     n = rho.size
-    parts = [p for c in segment.deformation.components for p in (c.even, c.odd) if p is not None]
-    radial_orders = sorted({p.order for p in parts})
-    stack = zernike_radial_stack(radial_orders, max((len(p.coeffs) for p in parts), default=1) - 1, rho)
-
-    def table(part):
-        if part is None:
-            return np.zeros(n)
-        return np.asarray(part.from_stack(stack[radial_orders.index(part.order)]), dtype=float)
-
-    delta0 = np.zeros(n)
-    orders: list[int] = []
-    even: list[np.ndarray] = []
-    odd: list[np.ndarray] = []
-    for comp in segment.deformation.components:
-        e, o = table(comp.even), table(comp.odd)
-        if comp.m == 0:
-            delta0 = delta0 + e
-        else:
-            orders.append(comp.m)
-            even.append(e)
-            odd.append(o)
-    return delta0, orders, even, odd
+    values = iter(evaluate_parts(
+        [p for seg in segments for c in seg.deformation.components for p in (c.even, c.odd) if p is not None],
+        rho,
+    ))
+    tables = []
+    for segment in segments:
+        delta0 = np.zeros(n)
+        orders: list[int] = []
+        even: list[np.ndarray] = []
+        odd: list[np.ndarray] = []
+        for comp in segment.deformation.components:
+            e, o = (np.zeros(n) if p is None else next(values) for p in (comp.even, comp.odd))
+            if comp.m == 0:
+                delta0 = delta0 + e
+            else:
+                orders.append(comp.m)
+                even.append(e)
+                odd.append(o)
+        tables.append((delta0, orders, even, odd))
+    return tables
 
 
 def instantaneous_coefficient(
@@ -145,7 +145,7 @@ def instantaneous_coefficient(
     if np.any(t_arr < -1e-18) or np.any(t_arr > segment.duration_s * (1 + 1e-12)):
         raise ValueError("time outside the segment's duration")
     rho_arr = np.asarray([float(rho)])
-    delta0, orders, even, odd = _segment_tables(segment, rho_arr)
+    delta0, orders, even, odd = _segment_tables([segment], rho_arr)[0]
     beta = float(phi) - omega_rad_s * t_arr
     delta = np.full(t_arr.shape, delta0[0])
     for m, e, o in zip(orders, even, odd):
@@ -162,11 +162,13 @@ def instantaneous_coefficient(
 
 
 def _phases(
-    segment: PulseSegment, rho: np.ndarray, phi: np.ndarray, omega: float,
+    segment: PulseSegment, tables: tuple, phi: np.ndarray, omega: float,
     times: np.ndarray | tuple[float, ...], tol: float,
 ) -> np.ndarray:
-    """2 * integral_0^t f dt at each probe point (rho, phi) and each time t:
-    the package's one time-domain integrator, returning (points, times).
+    """2 * integral_0^t f dt at each probe point and each time t: the
+    package's one time-domain integrator, returning (points, times).
+    `tables` are the segment's radial parts at the points' radii, from
+    `_segment_tables`; `phi` holds the points' angles.
 
     Every beatnote and deformation order is an integer multiple of omega;
     with g their gcd, f repeats every base period P/g, P = 2 pi / omega,
@@ -191,7 +193,7 @@ def _phases(
     integral of |f| up to t -- long windows carry hundreds of radians of L1
     mass whose float64 summation noise no refinement removes."""
     times = np.asarray(times, dtype=float)
-    delta0, orders, even, odd = _segment_tables(segment, rho)
+    delta0, orders, even, odd = tables
     fastest = int(max([*segment.beatnotes, *orders], default=0))
     if fastest == 0:
         # drive is strictly time-independent: f * t, no quadrature needed
@@ -275,10 +277,9 @@ def evolve_exact(
         raise ValueError("tolerance below 1e-13 is not resolvable in float64")
     omega = schedule.omega_rad_s
     theta = np.zeros(len(crystal))
-    for seg in schedule.segments:  # fixed order: deterministic accumulation
-        theta = theta + _phases(
-            seg, crystal.rho, crystal.phi, omega, (seg.duration_s,), tol
-        )[:, 0]
+    tables = _segment_tables(schedule.segments, crystal.rho)
+    for seg, table in zip(schedule.segments, tables):  # fixed order: deterministic accumulation
+        theta = theta + _phases(seg, table, crystal.phi, omega, (seg.duration_s,), tol)[:, 0]
     meta = {
         "method": "exact-quadrature",
         "tolerance": tol,
@@ -301,7 +302,7 @@ def _bessel_series_phase(
     the n = -1 term is static and every other term integrates to
     2 sin(x)/((n+1) m omega) * cos(...) with x = (n+1) m omega T / 2.
     """
-    delta0, orders, even, odd = _segment_tables(segment, crystal.rho)
+    delta0, orders, even, odd = _segment_tables([segment], crystal.rho)[0]
     if len(orders) + (1 if np.any(delta0) else 0) != 1 or any(np.any(o) for o in odd):
         raise ValueError(
             "oracle inapplicable: needs exactly one even azimuthal component per segment"
@@ -373,7 +374,7 @@ def _tail_order(r_max: float, floor: float = _PRODUCT_TAIL) -> int:
     return max(k, 2)
 
 
-def _static_coefficient_serial(segment: PulseSegment, crystal: IonCrystal) -> np.ndarray:
+def _static_coefficient_serial(segment: PulseSegment, tables: tuple, crystal: IonCrystal) -> np.ndarray:
     """Exact secular drive rate for an arbitrary (<= 3 rotating orders)
     deformation: the multi-order Bessel-product sum.
 
@@ -382,7 +383,7 @@ def _static_coefficient_serial(segment: PulseSegment, crystal: IonCrystal) -> np
     prod_i J_{k_i}(R_i) with phase psi + delta0 - mult phi - sum k_i chi_i
     + (sum k_i) pi/2.
     """
-    delta0, orders, even, odd = _segment_tables(segment, crystal.rho)
+    delta0, orders, even, odd = tables
     phi = crystal.phi
     u, psi = segment.u_rad_s, segment.psi
 
@@ -432,10 +433,10 @@ def _constrained_indices(orders, caps, total):
             yield (k0, *rest)
 
 
-def _static_coefficient_parallel(segment: PulseSegment, crystal: IonCrystal) -> np.ndarray:
+def _static_coefficient_parallel(segment: PulseSegment, tables: tuple, crystal: IonCrystal) -> np.ndarray:
     """First-order-in-amplitude secular rate for a parallel segment: the
     beatnote at m omega picks out the order-m deformation component."""
-    delta0, orders, even, odd = _segment_tables(segment, crystal.rho)
+    delta0, orders, even, odd = tables
     phi = crystal.phi
     u, psi = segment.u_rad_s, segment.psi
     coeff = np.zeros(len(crystal))
@@ -464,8 +465,9 @@ def evolve_rwa(crystal: IonCrystal, schedule: PulseSchedule) -> EvolutionResult:
         if schedule.mode == "parallel"
         else _static_coefficient_serial
     )
-    for seg in schedule.segments:
-        theta = theta + 2.0 * static(seg, crystal) * seg.duration_s
+    tables = _segment_tables(schedule.segments, crystal.rho)
+    for seg, table in zip(schedule.segments, tables):
+        theta = theta + 2.0 * static(seg, table, crystal) * seg.duration_s
     meta = {"method": "rwa", "schedule_hash": schedule_hash(schedule)}
     return _result(theta, meta)
 

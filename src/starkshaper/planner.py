@@ -39,14 +39,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, PrecompensationRangeError
 from .specfun import (
-    J1_PEAK_VALUE, J1_PEAK_X, inverse_j1, is_count, zernike_radial_stack, zernike_radial_sum,
+    J1_PEAK_VALUE, J1_PEAK_X, inverse_j1, is_count, is_real, zernike_radial_dot, zernike_radial_stack,
 )
 from .zernike import ZernikeExpansion
 
@@ -78,63 +77,99 @@ class RadialProfile:
     def __post_init__(self) -> None:
         if not is_count(self.order):
             raise ConfigError(f"radial order must be a non-negative integer, got {self.order!r}")
+        if isinstance(self.coeffs, str):
+            raise ConfigError(f"radial profile coeffs must be a list of numbers, got {self.coeffs!r}")
+        coeffs = tuple(self.coeffs)
+        named = [*((f"coeffs[{k}]", c) for k, c in enumerate(coeffs)),
+                 ("scale", self.scale), ("offset", self.offset)]
+        for name, value in named:
+            if not is_real(value):
+                raise ConfigError(f"radial profile {name} must be a finite number, got {value!r}")
         object.__setattr__(self, "order", int(self.order))
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in coeffs))
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "offset", float(self.offset))
         if not self.coeffs:
             raise ConfigError("radial profile has no coefficients")
-        if not np.all(np.isfinite((*self.coeffs, self.scale, self.offset))):
-            raise ConfigError("radial profile coefficients, scale and offset must be finite")
         if self.transfer not in _TRANSFER_BOUND:
             raise ConfigError(
                 f"unknown transfer {self.transfer!r}; expected one of {sorted(_TRANSFER_BOUND)}"
             )
 
-    def argument(self, rho) -> np.ndarray:
-        """scale * the Zernike radial sum at rho."""
-        return self.scale * zernike_radial_sum(self.order, self.coeffs, rho)
-
-    def apply(self, arg) -> np.ndarray:
-        """transfer(arg) + offset."""
-        if self.transfer == "j1inv":
-            out = inverse_j1(arg)
-        elif self.transfer == "arccos":
-            out = np.arccos(np.clip(arg, -1.0, 1.0))
-        else:
-            out = arg
-        return out + self.offset
-
-    def from_stack(self, stack) -> np.ndarray:
-        """The part at the radii of a precomputed radial stack, whose row k
-        holds R^order_{order+2k} (at least len(coeffs) rows)."""
-        coeffs = np.asarray(self.coeffs)
-        if np.any(coeffs):
-            arg = np.tensordot(coeffs, stack[:coeffs.size], axes=(0, 0))
-        else:
-            arg = np.zeros(stack.shape[1:])
-        return self.apply(self.scale * arg)
-
     def __call__(self, rho) -> np.ndarray:
-        return self.from_stack(zernike_radial_stack(self.order, len(self.coeffs) - 1, rho))
+        return evaluate_parts([self], rho)[0]
 
-    @cached_property
+    @property
     def extremes(self) -> tuple[tuple[float, float], str | None]:
         """The extremes of the transfer argument on the check grid, clipped
         into the transfer's domain, and a message carrying the measured
         value and the bound when the argument leaves that domain.  Because
         the transfer is monotone, applying it to the extremes gives the
-        part's.  Evaluated once per record; planning and validation share it."""
-        arg = self.argument(_CHECK_RHO)
-        lo, hi = float(np.min(arg)), float(np.max(arg))
-        bound = _TRANSFER_BOUND[self.transfer]
-        problem = None
-        if max(-lo, hi) > bound:
-            problem = (
-                f"|{self.transfer} argument| reaches {max(-lo, hi):.6f} > {bound:.6f} "
-                f"at rho = {_CHECK_RHO[int(np.argmax(np.abs(arg)))]:.4f}"
-            )
-        return tuple(np.clip([lo, hi], -bound, bound)), problem
+        part's.  Found once per record by `_find_extremes`, which planning
+        and validation call on all their parts at once."""
+        if "_extremes" not in vars(self):
+            _find_extremes([self])
+        return self._extremes
+
+
+def evaluate_parts(parts, rho) -> list[np.ndarray]:
+    """Each radial part at the radii rho, shaped like rho.
+
+    One radial sweep covers every order the parts use, each part
+    contracting its own slice with `zernike_radial_dot`, and every j1inv
+    part goes through a single `inverse_j1` call; each value has the bits
+    of the part evaluated alone.  The sweep holds all orders at once, which
+    suits the ions and other small radius sets; the 2048-point check grid
+    is swept one order at a time instead (`_find_extremes`)."""
+    rho = np.asarray(rho, dtype=float)
+    if not parts:
+        return []
+    orders = sorted({p.order for p in parts})
+    stack = zernike_radial_stack(orders, max(len(p.coeffs) for p in parts) - 1, rho)
+    row = {m: i for i, m in enumerate(orders)}
+    return _transfer(parts, [p.scale * zernike_radial_dot(p.coeffs, stack[row[p.order]]) for p in parts])
+
+
+def _transfer(parts, args) -> list[np.ndarray]:
+    """transfer(arg) + offset for each part and its argument array, the
+    arguments of all j1inv parts inverted by one `inverse_j1` call."""
+    out = [np.asarray(a, dtype=float) for a in args]
+    j1 = [i for i, p in enumerate(parts) if p.transfer == "j1inv"]
+    if j1:
+        inverted = inverse_j1(np.concatenate([out[i].ravel() for i in j1]))
+        pieces = np.split(inverted, np.cumsum([out[i].size for i in j1])[:-1])
+        for i, piece in zip(j1, pieces):
+            out[i] = piece.reshape(out[i].shape)
+    for i, p in enumerate(parts):
+        if p.transfer == "arccos":
+            out[i] = np.arccos(np.clip(out[i], -1.0, 1.0))
+    return [o + p.offset for o, p in zip(out, parts)]
+
+
+def _find_extremes(parts) -> None:
+    """Store on each part still without them its check-grid extremes (see
+    RadialProfile.extremes).  The grid is swept once per order, every part
+    of that order (both parities, all segments) contracting the same stack,
+    and each stack is dropped before the next order's: one stack of all
+    orders on the 2048-point grid would hold about 7 MB at once."""
+    by_order: dict[int, list[RadialProfile]] = {}
+    for part in parts:
+        if "_extremes" not in vars(part):
+            by_order.setdefault(part.order, []).append(part)
+    for order, group in by_order.items():
+        stack = zernike_radial_stack(order, max(len(p.coeffs) for p in group) - 1, _CHECK_RHO)
+        for part in group:
+            arg = part.scale * zernike_radial_dot(part.coeffs, stack)
+            lo, hi = float(np.min(arg)), float(np.max(arg))
+            bound = _TRANSFER_BOUND[part.transfer]
+            problem = None
+            if max(-lo, hi) > bound:
+                problem = (
+                    f"|{part.transfer} argument| reaches {max(-lo, hi):.6f} > {bound:.6f} "
+                    f"at rho = {_CHECK_RHO[int(np.argmax(np.abs(arg)))]:.4f}"
+                )
+            object.__setattr__(part, "_extremes", (tuple(np.clip([lo, hi], -bound, bound)), problem))
+        del stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,10 +221,12 @@ class PulseSegment:
     def __post_init__(self) -> None:
         for field in ("duration_s", "u_rad_s"):
             value = getattr(self, field)
-            if not 0 < value < np.inf:  # also refuses NaN
-                raise ConfigError(f"segment {field} must be positive and finite, got {value}")
-        if not np.isfinite(self.psi):
-            raise ConfigError(f"segment psi must be finite, got {self.psi}")
+            if not (is_real(value) and value > 0):  # also refuses NaN, bools and strings
+                raise ConfigError(f"segment {field} must be positive and finite, got {value!r}")
+            object.__setattr__(self, field, float(value))
+        if not is_real(self.psi):
+            raise ConfigError(f"segment psi must be finite, got {self.psi!r}")
+        object.__setattr__(self, "psi", float(self.psi))
         if not all(map(is_count, self.beatnotes)):
             raise ConfigError(
                 f"segment beatnotes must be finite non-negative integers, got {self.beatnotes}"
@@ -210,8 +247,13 @@ class PulseSchedule:
     def __post_init__(self) -> None:
         if self.mode not in ("serial", "parallel"):
             raise ConfigError(f"unknown schedule mode {self.mode!r}")
-        if not 0 < self.omega_rad_s < np.inf:  # also refuses NaN
-            raise ConfigError(f"omega_rad_s must be positive and finite, got {self.omega_rad_s}")
+        if not (is_real(self.omega_rad_s) and self.omega_rad_s > 0):  # also refuses NaN, bools and strings
+            raise ConfigError(f"omega_rad_s must be positive and finite, got {self.omega_rad_s!r}")
+        for field in ("target_u_rad_s", "gate_time_s", "amplitude", "dm_reset_time_s"):
+            if not is_real(getattr(self, field)):
+                raise ConfigError(f"schedule {field} must be a finite number, got {getattr(self, field)!r}")
+        for field in ("omega_rad_s", "target_u_rad_s", "gate_time_s", "amplitude", "dm_reset_time_s"):
+            object.__setattr__(self, field, float(getattr(self, field)))
         if not self.segments:
             raise ConfigError("schedule has no segments")
         if self.mode == "parallel" and len(self.segments) != 1:
@@ -334,16 +376,17 @@ def plan_parallel(
 def _planned_parts(exp: ZernikeExpansion, part_for) -> list[tuple[int, str, RadialProfile]]:
     """(m, parity, part_for(m, coefficients)) of every radial part whose
     transfer argument exceeds the component floor on the check grid; m
-    ascending, even before odd.  The test reads the record's extremes,
-    which the range checks and validate_schedule then reuse."""
-    parts = []
-    for m in exp.active_orders(floor=_COMPONENT_FLOOR):
-        for parity, coeffs in (("even", exp.cos[m]), ("odd", exp.sin[m])):
-            if not coeffs.size:  # sin[0]
-                continue
-            part = part_for(m, coeffs)
-            if np.max(np.abs(part.extremes[0])) > _COMPONENT_FLOOR:
-                parts.append((m, parity, part))
+    ascending, even before odd.  The test reads the records' extremes,
+    found with one check-grid sweep per order, which the range checks and
+    validate_schedule then reuse."""
+    candidates = [
+        (m, parity, part_for(m, coeffs))
+        for m in exp.active_orders(floor=_COMPONENT_FLOOR)
+        for parity, coeffs in (("even", exp.cos[m]), ("odd", exp.sin[m]))
+        if coeffs.size  # sin[0] is empty
+    ]
+    _find_extremes([part for _, _, part in candidates])
+    parts = [c for c in candidates if np.max(np.abs(c[2].extremes[0])) > _COMPONENT_FLOOR]
     if not parts:
         raise ConfigError("expansion has no components above threshold; nothing to plan")
     return parts
@@ -374,6 +417,13 @@ def validate_schedule(schedule: PulseSchedule) -> ValidationReport:
     warnings with ok=False."""
     warnings: list[str] = []
     period = 2.0 * np.pi / schedule.omega_rad_s
+    parts = [
+        part for seg in schedule.segments for comp in seg.deformation.components
+        for part in (comp.even, comp.odd) if part is not None
+    ]
+    _find_extremes(parts)
+    # the strokes at the argument extremes, all j1inv ends in one inversion
+    strokes = iter(_transfer(parts, [np.array(part.extremes[0]) for part in parts]))
 
     seg_metrics = []
     for i, seg in enumerate(schedule.segments):
@@ -389,7 +439,7 @@ def validate_schedule(schedule: PulseSchedule) -> ValidationReport:
                 ends, problem = part.extremes
                 if problem:
                     warnings.append(f"segment {i}: {part_name} m={comp.m}: {problem}")
-                stroke = float(np.max(np.abs(part.apply(np.array(ends)))))
+                stroke = float(np.max(np.abs(next(strokes))))
                 max_stroke = max(max_stroke, stroke)
                 if schedule.mode == "serial" and comp.m > 0:
                     margin = J1_PEAK_X - stroke
@@ -518,21 +568,21 @@ def schedule_from_json_dict(payload: dict) -> PulseSchedule:
                     PulseSegment(
                         deformation=MirrorDeformation(comps),
                         beatnotes=tuple(seg["beatnotes"]),
-                        duration_s=float(seg["duration_s"]),
-                        u_rad_s=float(seg["u_rad_s"]),
-                        psi=float(seg["psi"]),
+                        duration_s=seg["duration_s"],
+                        u_rad_s=seg["u_rad_s"],
+                        psi=seg["psi"],
                     )
                 )
             except ConfigError as exc:
                 raise ConfigError(f"schedule segment {index}: {exc}") from None
         schedule = PulseSchedule(
             mode=str(payload["mode"]),
-            omega_rad_s=float(payload["omega_rad_s"]),
+            omega_rad_s=payload["omega_rad_s"],
             segments=tuple(segments),
-            target_u_rad_s=float(payload["target_u_rad_s"]),
-            gate_time_s=float(payload["gate_time_s"]),
-            amplitude=float(payload["amplitude"]),
-            dm_reset_time_s=float(payload.get("dm_reset_time_s", 0.0)),
+            target_u_rad_s=payload["target_u_rad_s"],
+            gate_time_s=payload["gate_time_s"],
+            amplitude=payload["amplitude"],
+            dm_reset_time_s=payload.get("dm_reset_time_s", 0.0),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed schedule JSON: {exc}") from exc

@@ -150,10 +150,10 @@ def inverse_j1(y) -> np.ndarray | float:
 
 
 def is_real(value) -> bool:
-    """An int or float, not a bool, with |value| <= the largest float:
-    strings, NaN, inf and integers too large for a float are refused, not
-    coerced."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float (numpy's scalars too), not a bool, with |value| <=
+    the largest float: strings, NaN, inf and integers too large for a
+    float are refused, not coerced."""
+    return (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
             and abs(value) <= _FLOAT_MAX)
 
 
@@ -237,13 +237,24 @@ def zernike_radial_stack(m, k_max: int, rho) -> np.ndarray:
     return stack
 
 
+def zernike_radial_dot(coeffs, stack) -> np.ndarray:
+    """sum_k coeffs[k] stack[k] for a radial stack of one order with at
+    least len(coeffs) rows (a slice of a joint sweep will do): zeros when
+    every coefficient is 0, else one tensordot, so a sum keeps its bits
+    whichever sweep its rows came from."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if not np.any(coeffs):
+        return np.zeros(stack.shape[1:])
+    return np.tensordot(coeffs, stack[:coeffs.size], axes=(0, 0))
+
+
 def zernike_radial_sum(m: int, coeffs, rho) -> np.ndarray:
     """sum_k coeffs[k] R_{m+2k}^m(rho), shaped like rho."""
     coeffs = np.asarray(coeffs, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    if not coeffs.size or not np.any(coeffs):
+    if not np.any(coeffs):
         return np.zeros_like(rho)
-    return np.tensordot(coeffs, zernike_radial_stack(m, coeffs.size - 1, rho), axes=(0, 0))
+    return zernike_radial_dot(coeffs, zernike_radial_stack(m, coeffs.size - 1, rho))
 
 
 def zernike_radial(n: int, m: int, rho) -> np.ndarray | float:

@@ -28,7 +28,8 @@ import numpy as np
 from .errors import ConfigError, QuadratureError
 from .patterns import TargetPattern
 from .specfun import (
-    ZernikeIndex, is_count, is_real, is_whole, zernike_radial_stack, zernike_radial_sum,
+    ZernikeIndex, is_count, is_real, is_whole, zernike_radial_dot, zernike_radial_stack,
+    zernike_radial_sum,
 )
 
 COEFFICIENT_EXPORT_FLOOR = 1e-12
@@ -127,15 +128,20 @@ class ZernikeExpansion:
     def reconstruct(self, rho, phi) -> np.ndarray | float:
         """A * sum over m of P^m cos(m phi) + Q^m sin(m phi); the radial sums
         are evaluated on rho's own shape and broadcast against phi only in
-        the products."""
+        the products.  One radial sweep covers every order and both
+        parities; each sum contracts its slice as `even` and `odd` do, so
+        the result keeps their bits.  The radius sets it serves (the error
+        map's 256 grid rows, the ions) keep that stack below 1 MB."""
         rho = np.asarray(rho, float)
         phi = np.asarray(phi, float)
+        stack = zernike_radial_stack(range(self.m_max + 1), self.n_max // 2, rho)
         total = np.zeros(np.broadcast_shapes(rho.shape, phi.shape))
         for m in range(self.m_max + 1):
             if m == 0:
-                total += self.even(0, rho)
+                total += zernike_radial_dot(self.cos[0], stack[0])
             else:
-                total += self.even(m, rho) * np.cos(m * phi) + self.odd(m, rho) * np.sin(m * phi)
+                total += (zernike_radial_dot(self.cos[m], stack[m]) * np.cos(m * phi)
+                          + zernike_radial_dot(self.sin[m], stack[m]) * np.sin(m * phi))
         total *= self.amplitude
         if total.ndim == 0:
             return float(total)
@@ -183,10 +189,11 @@ def _project(pattern: TargetPattern, n_max: int, m_max: int, quad: DiskQuadratur
     cos_moments = (values @ np.cos(np.outer(phi, orders))) * w_phi  # (nr, m_max+1)
     sin_moments = (values @ np.sin(np.outer(phi, orders))) * w_phi
 
+    stacks = zernike_radial_stack(orders, n_max // 2, rho)  # (m_max+1, n_max//2+1, nr)
     cos, sin = [], [np.zeros(0)]
     for m in range(m_max + 1):
         k_max = (n_max - m) // 2
-        stack = zernike_radial_stack(m, k_max, rho)  # (k_max+1, nr)
+        stack = stacks[m, :k_max + 1]
         eps = 2.0 if m == 0 else 1.0
         n_vals = m + 2 * np.arange(k_max + 1)
         cos.append((2.0 * n_vals + 2.0) / (eps * np.pi) * (stack @ (w_rho * cos_moments[:, m])))

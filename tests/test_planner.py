@@ -1,6 +1,9 @@
 """Pulse-schedule compilation: precompensation, calibration, interchange."""
 
 import dataclasses
+import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from starkshaper.patterns import (
     AnnulusPattern,
     DisplacedGaussianPattern,
     EllipticalGaussianPattern,
+    TabulatedPattern,
+    make_pattern,
 )
 from starkshaper.planner import (
     DeformationComponent,
@@ -30,11 +35,16 @@ from starkshaper.planner import (
     validate_schedule,
 )
 from starkshaper.specfun import J1_PEAK_VALUE, bessel_j
-from starkshaper.zernike import decompose, expansion_from_json_dict
+from starkshaper.zernike import decompose, expansion_from_json_dict, truncation_error_map
 
 U0 = 2 * np.pi * 1.0e4
 OMEGA = 2 * np.pi * 1.8e5
 PERIOD = 2 * np.pi / OMEGA
+
+
+def _parts(schedule):
+    return [p for seg in schedule.segments for c in seg.deformation.components
+            for p in (c.even, c.odd) if p is not None]
 
 
 def _expansion(pattern, n_max, m_max):
@@ -89,6 +99,21 @@ class TestSerialStructure:
 
 
 class TestCalibrationIdentity:
+    def test_tabulated_peak_ion_rotates_by_pi(self):
+        # F = rho on a two-node radial table peaks at the six corner ions
+        # (rho = 1, a table node); calibrated to the exact table peak, they
+        # rotate by pi up to the truncation error the expansion leaves there
+        pat = TabulatedPattern(1.0, np.array([0.0, 1.0]), np.array([0.0]), np.array([[0.0], [1.0]]))
+        crystal = generate_hex_crystal(5, 0.2)
+        exp = decompose(pat, 40, 0)
+        s = plan_serial(exp, U0, OMEGA, pattern_peak=pat.peak_value())
+        theta = evolve_exact(crystal, s).theta
+        peak = np.flatnonzero(np.isclose(crystal.rho, 1.0))
+        residual = truncation_error_map(pat, exp, crystal).ion_error[peak]
+        assert peak.size == 6
+        assert np.all(np.abs(theta[peak] - np.pi) <= np.pi * residual + 1e-9), (theta[peak] - np.pi, residual)
+        assert np.all(residual < 1e-3)
+
     """The factor-of-2 anchor: a pure single-order pattern, serially
     compiled, must put the peak ion through exactly a pi rotation."""
 
@@ -309,6 +334,43 @@ class TestScheduleInterchange:
             schedule_from_json_dict(payload)
         assert info.value.exit_code == 2
 
+    @pytest.mark.parametrize("path, value", [
+        (("segments", 1, "duration_s"), "1e-5"),
+        (("segments", 1, "u_rad_s"), True),
+        (("segments", 1, "psi"), True),
+        (("segments", 1, "psi"), "-1.5"),
+        (("segments", 1, "components", 0, "even", "coeffs", 0), True),
+        (("segments", 1, "components", 0, "even", "coeffs", 0), "0.1"),
+        (("segments", 1, "components", 0, "even", "scale"), True),
+        (("segments", 1, "components", 0, "even", "offset"), "0"),
+        (("omega_rad_s",), "1.1e6"),
+        (("target_u_rad_s",), True),
+        (("gate_time_s",), "1e-5"),
+        (("amplitude",), False),
+        (("dm_reset_time_s",), "0"),
+    ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else repr(v))
+    def test_loader_refuses_non_real_fields(self, path, value):
+        # a real-valued field that is not a number must not load as the
+        # number float() makes of it
+        seg = PulseSegment(
+            deformation=MirrorDeformation((DeformationComponent(2, even=RadialProfile(2, (0.1,))),)),
+            beatnotes=(2,), duration_s=3 * PERIOD, u_rad_s=1e4, psi=-np.pi / 2,
+        )
+        sched = PulseSchedule(
+            mode="serial", omega_rad_s=OMEGA, segments=(seg, seg),
+            target_u_rad_s=1e4, gate_time_s=6 * PERIOD, amplitude=0.1,
+        )
+        payload = json.loads(json.dumps(schedule_to_json_dict(sched)))
+        record = payload
+        for key in path[:-1]:
+            record = record[key]
+        record[path[-1]] = value
+        named = [k for k in path if isinstance(k, str)][-1]
+        where = "schedule segment 1: .*" if path[0] == "segments" else ""
+        with pytest.raises(ConfigError, match=f"{where}{re.escape(named)}.* must be .*got {re.escape(repr(value))}") as info:
+            schedule_from_json_dict(payload)
+        assert info.value.exit_code == 2
+
 
 class TestStructuralValidation:
     def test_component_requires_a_part(self):
@@ -379,18 +441,70 @@ class TestStructuralValidation:
 
     @pytest.mark.parametrize("plan", [plan_serial, plan_parallel])
     def test_plan_and_validate_evaluate_each_part_once_on_the_check_grid(self, plan, monkeypatch):
+        # planning sweeps the check grid once per order, both parities
+        # contracting the same sweep; validating the planned schedule reuses
+        # the records' ranges, and a loaded copy sweeps once per order again
         pat = DisplacedGaussianPattern(amplitude=0.3)
         exp = _expansion(pat, 16, 5)
-        grid_sizes = []
-        real_sum = planner.zernike_radial_sum
+        sweeps = []
+        real_stack = planner.zernike_radial_stack
 
-        def counting_sum(m, coeffs, rho):
-            grid_sizes.append(np.size(rho))
-            return real_sum(m, coeffs, rho)
+        def counting_stack(m, k_max, rho):
+            if np.size(rho) == planner._CHECK_RHO.size:
+                sweeps.append(m)
+            return real_stack(m, k_max, rho)
 
-        monkeypatch.setattr(planner, "zernike_radial_sum", counting_sum)
+        monkeypatch.setattr(planner, "zernike_radial_stack", counting_stack)
         s = plan(exp, U0, OMEGA, pattern_peak=pat.peak_value())
-        candidates = sum(t[m].size > 0 for m in exp.active_orders(1e-12) for t in (exp.cos, exp.sin))
-        assert grid_sizes == [planner._CHECK_RHO.size] * candidates
+        assert sweeps == exp.active_orders(1e-12)
         assert validate_schedule(s).ok
-        assert len(grid_sizes) == candidates  # validation reuses the planned records' ranges
+        assert sweeps == exp.active_orders(1e-12)
+        sweeps.clear()
+        schedule_from_json_dict(schedule_to_json_dict(s))
+        assert sweeps == sorted({p.order for p in _parts(s)})
+
+    @pytest.mark.parametrize("plan, calls", [(plan_serial, 1), (plan_parallel, 0)])
+    def test_validate_and_evolve_invert_j1_once_per_schedule(self, plan, calls, monkeypatch):
+        pat = DisplacedGaussianPattern(amplitude=0.3)
+        exp = _expansion(pat, 16, 5)
+        inversions = []
+        real_inverse = planner.inverse_j1
+
+        def counting_inverse(y):
+            inversions.append(np.size(y))
+            return real_inverse(y)
+
+        monkeypatch.setattr(planner, "inverse_j1", counting_inverse)
+        s = plan(exp, U0, OMEGA, pattern_peak=pat.peak_value())
+        assert inversions == []
+        j1inv = sum(p.transfer == "j1inv" for p in _parts(s))
+        validate_schedule(s)
+        assert inversions == [2 * j1inv] * calls  # both range ends of every j1inv part
+        inversions.clear()
+        crystal = generate_hex_crystal(3, 0.3)
+        evolve_exact(crystal, s)
+        assert inversions == [len(crystal) * j1inv] * calls
+
+    def test_stages_allocate_little(self, tmp_path):
+        # the check grid is swept one order at a time, and the joint sweeps
+        # of the error map and the ion tables stay below decompose's peak
+        pattern = make_pattern("displaced_gaussian", 3.0)
+        crystal = generate_hex_crystal(5, 0.2)
+
+        def peak(fn, *args, **kwargs):
+            tracemalloc.start()
+            try:
+                result = fn(*args, **kwargs)
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        exp, decompose_peak = peak(decompose, pattern, 40, 20)
+        schedule, plan_peak = peak(plan_serial, exp, U0, OMEGA, pattern_peak=pattern.peak_value())
+        save_schedule(schedule, tmp_path / "schedule.json")
+        _, load_peak = peak(load_schedule, tmp_path / "schedule.json")
+        _, map_peak = peak(truncation_error_map, pattern, exp, crystal)
+        _, evolve_peak = peak(evolve_exact, crystal, schedule)
+        assert plan_peak < 2**20 and load_peak < 2**20, (plan_peak, load_peak)
+        assert map_peak < decompose_peak and evolve_peak < decompose_peak, (
+            map_peak, evolve_peak, decompose_peak)
