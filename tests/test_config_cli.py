@@ -372,6 +372,34 @@ rwa_study: {omega_hz: [180.0e3], sample_count: 60}
         assert res.exit_code == 3
         assert "[FAIL]" in res.output
 
+    @pytest.mark.parametrize("key", list(analysis.SCENARIOS), ids=lambda k: f"{k[0]}-{k[1]}-{k[2]:g}")
+    def test_cli_pipeline_matches_run_scenario(self, runner, tmp_path, key):
+        """The CLI stages, fed a config written from a registry run's
+        parameters, give that run's schedule hash, phases and score."""
+        rep = analysis.run_scenario(*key)
+        p = rep.parameters
+        cfg = write_yaml(tmp_path / "run.yaml", (
+            f"pattern: {{kind: {p['pattern_kind']}, amplitude: {p['amplitude']!r}}}\n"
+            f"decomposition: {{n_max: {p['n_max']}, m_max: {p['m_max']}}}\n"
+            f"drive: {{u_rad_s: {p['u_rad_s']!r}, omega_rad_s: {p['omega_rad_s']!r}, "
+            f"psi: {p['psi']!r}}}\n"
+            f"mode: {key[1]}\n"
+        ))
+        out = tmp_path / "art"
+        for args in (
+            ["decompose"],
+            ["plan", "--expansion", str(out / "expansion.json")],
+            ["simulate", "--schedule", str(out / "schedule.json")],
+        ):
+            res = runner.invoke(main, [*args, "--config", cfg, "--out", str(out)])
+            assert res.exit_code == 0, res.output
+        report = json.loads((out / "report.json").read_text())
+        assert report["schedule_sha256"] == rep.schedule_sha256
+        assert report["max_infidelity"] == rep.max_infidelity
+        with (out / "evolution.csv").open() as fh:
+            theta = [float(line.split(",")[3]) for line in list(fh)[1:]]
+        np.testing.assert_array_equal(theta, rep.result.theta)
+
     def test_reproduce_runs_a_figure(self, runner, tmp_path):
         res = runner.invoke(main, ["reproduce", "fig4", "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
