@@ -1,4 +1,4 @@
-"""Reference studies and end-to-end scenario runs.
+"""Reference studies and the one pipeline both entry points run.
 
 Three layers on top of the compiler/simulator stack:
 
@@ -11,9 +11,9 @@ Three layers on top of the compiler/simulator stack:
     comb, exact vs first-order target), both integrated by the dynamics
     module's spectral trapezoid rule, so the package has one time-domain
     integrator;
-  * `run_scenario`, the full pipeline pattern -> decompose -> plan ->
-    evolve -> compare against the ideal target, for the named reference
-    scenarios, with deterministic CSV/JSON artifact emission.
+  * the pipeline, one function per stage of a RunConfig (decompose, plan,
+    simulate): each CLI command calls one, and `run_scenario` runs one of
+    the registry's ten run configs through all three and scores it.
 
 All artifact writers are timestamp-free so reruns are byte-identical.
 """
@@ -21,12 +21,13 @@ All artifact writers are timestamp-free so reruns are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .crystal import IonCrystal, generate_hex_crystal, save_crystal_csv
+from .config import RunConfig, config_from_dict
+from .crystal import IonCrystal, save_crystal_csv
 from .dynamics import (
     EvolutionResult,
     _phases,
@@ -38,7 +39,7 @@ from .dynamics import (
     write_evolution_csv,
 )
 from .errors import ConfigError
-from .patterns import TargetPattern, make_pattern
+from .patterns import TargetPattern
 from .planner import (
     DEFAULT_PSI,
     DeformationComponent,
@@ -46,6 +47,7 @@ from .planner import (
     PulseSchedule,
     PulseSegment,
     RadialProfile,
+    ValidationReport,
     plan_parallel,
     plan_serial,
     save_schedule,
@@ -53,15 +55,9 @@ from .planner import (
     validate_schedule,
 )
 from .specfun import bessel_j
-from .zernike import ErrorMap, decompose, save_expansion, truncation_error_map
+from .zernike import ErrorMap, ZernikeExpansion, decompose, save_expansion, truncation_error_map
 
 TWO_PI = 2.0 * np.pi
-
-# Reference drive parameters shared by every scenario run.
-DEFAULT_U_RAD_S = TWO_PI * 1.0e4
-DEFAULT_OMEGA_RAD_S = TWO_PI * 1.8e5
-DEFAULT_CRYSTAL_SHELLS = 5
-DEFAULT_CRYSTAL_SPACING = 0.2
 
 HISTOGRAM_LOG10_MIN = -18.0
 HISTOGRAM_BIN_WIDTH = 0.5
@@ -332,32 +328,78 @@ def worst_case_parallel_pair(
 
 
 # ---------------------------------------------------------------------------
+# the pipeline: one function per stage, shared by the CLI and the registry
+
+
+def decompose_stage(cfg: RunConfig, crystal: IonCrystal) -> tuple[TargetPattern, ZernikeExpansion, ErrorMap]:
+    """Project the configured pattern onto the Zernike basis and map the
+    truncation error on the disk and at the ions."""
+    pattern = cfg.build_pattern()
+    expansion = decompose(pattern, cfg.n_max, cfg.m_max)
+    return pattern, expansion, truncation_error_map(pattern, expansion, crystal=crystal)
+
+
+def plan_stage(cfg: RunConfig, expansion: ZernikeExpansion) -> tuple[PulseSchedule, ValidationReport, str]:
+    """Compile the expansion into the configured mode's pulse schedule,
+    calibrated so the pattern's peak ion rotates by pi; validate and hash it."""
+    planner = plan_serial if cfg.mode == "serial" else plan_parallel
+    schedule = planner(
+        expansion, cfg.u_rad_s, cfg.omega_rad_s, psi=cfg.psi,
+        pattern_peak=cfg.build_pattern().peak_value(),
+    )
+    return schedule, validate_schedule(schedule), schedule_hash(schedule)
+
+
+def simulate_stage(cfg: RunConfig, crystal: IonCrystal, schedule: PulseSchedule) -> EvolutionResult:
+    """Integrate every ion's phase exactly to the configured tolerance and
+    attach the ideal target phases of the configured pattern."""
+    result = evolve_exact(crystal, schedule, tol=cfg.tolerance)
+    return result.with_targets(target_phases(
+        crystal, cfg.build_pattern(), schedule.target_u_rad_s, schedule.gate_time_s
+    ))
+
+
+def write_json(payload: dict, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_decomposition(expansion: ZernikeExpansion, error_map: ErrorMap, out: Path) -> None:
+    """expansion.json and error_map.csv."""
+    save_expansion(expansion, out / "expansion.json")
+    error_map.write_csv(out / "error_map.csv")
+
+
+def write_evolution(result: EvolutionResult, crystal: IonCrystal, out: Path) -> None:
+    """evolution.csv (+ metadata sidecar) and histogram.csv."""
+    write_evolution_csv(result, crystal, out / "evolution.csv")
+    write_histogram_csv(*infidelity_histogram(result.infidelity), out / "histogram.csv")
+
+
+# ---------------------------------------------------------------------------
 # named reference scenarios
 
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    pattern_kind: str
-    amplitude: float
-    n_max: int
-    m_max: int
-    threshold: float
-
-
-# (name, mode, tier) -> parameter set.  Tier labels the infidelity target
-# family; the elliptical parallel tier-2 threshold is 3e-3 because the
-# shallower 0.2 stroke trades residual nonlinearity against truncation.
-SCENARIOS: dict[tuple[str, str, float], ScenarioSpec] = {
-    ("annulus", "serial", 1e-2): ScenarioSpec("annulus", 1.0, 24, 0, 1e-2),
-    ("annulus", "serial", 1e-3): ScenarioSpec("annulus", 1.0, 54, 0, 1e-3),
-    ("elliptical", "serial", 1e-2): ScenarioSpec("elliptical_gaussian", 0.5, 26, 10, 1e-2),
-    ("elliptical", "serial", 1e-3): ScenarioSpec("elliptical_gaussian", 0.5, 32, 12, 1e-3),
-    ("elliptical", "parallel", 1e-2): ScenarioSpec("elliptical_gaussian", 0.4, 26, 10, 1e-2),
-    ("elliptical", "parallel", 1e-3): ScenarioSpec("elliptical_gaussian", 0.2, 32, 12, 3e-3),
-    ("displaced", "serial", 1e-2): ScenarioSpec("displaced_gaussian", 3.0, 40, 9, 1e-2),
-    ("displaced", "serial", 1e-3): ScenarioSpec("displaced_gaussian", 3.0, 40, 20, 1e-3),
-    ("displaced", "parallel", 1e-2): ScenarioSpec("displaced_gaussian", 0.3, 40, 9, 1e-2),
-    ("displaced", "parallel", 1e-3): ScenarioSpec("displaced_gaussian", 0.3, 40, 20, 1e-3),
+# (name, mode, tier) -> (run config, threshold).  Tier labels the infidelity
+# target family; the elliptical parallel tier-2 threshold is 3e-3 because
+# the shallower 0.2 stroke trades residual nonlinearity against truncation.
+SCENARIOS: dict[tuple[str, str, float], tuple[dict, float]] = {
+    (name, mode, tier): ({
+        "pattern": {"kind": kind, "amplitude": amplitude},
+        "decomposition": {"n_max": n_max, "m_max": m_max},
+        "drive": {"u_hz": 1.0e4, "omega_hz": 1.8e5},
+        "mode": mode,
+    }, threshold)
+    for name, mode, tier, kind, amplitude, n_max, m_max, threshold in (
+        ("annulus", "serial", 1e-2, "annulus", 1.0, 24, 0, 1e-2),
+        ("annulus", "serial", 1e-3, "annulus", 1.0, 54, 0, 1e-3),
+        ("elliptical", "serial", 1e-2, "elliptical_gaussian", 0.5, 26, 10, 1e-2),
+        ("elliptical", "serial", 1e-3, "elliptical_gaussian", 0.5, 32, 12, 1e-3),
+        ("elliptical", "parallel", 1e-2, "elliptical_gaussian", 0.4, 26, 10, 1e-2),
+        ("elliptical", "parallel", 1e-3, "elliptical_gaussian", 0.2, 32, 12, 3e-3),
+        ("displaced", "serial", 1e-2, "displaced_gaussian", 3.0, 40, 9, 1e-2),
+        ("displaced", "serial", 1e-3, "displaced_gaussian", 3.0, 40, 20, 1e-3),
+        ("displaced", "parallel", 1e-2, "displaced_gaussian", 0.3, 40, 9, 1e-2),
+        ("displaced", "parallel", 1e-3, "displaced_gaussian", 0.3, 40, 20, 1e-3),
+    )
 }
 
 # Figure ids -> scenario runs whose artifacts contain the plotted data.
@@ -377,6 +419,8 @@ FIGURES: dict[str, tuple[tuple[str, str, float], ...]] = {
 
 @dataclass(frozen=True)
 class ScenarioReport:
+    """One registry run: its score, bound and what each stage returned."""
+
     name: str
     mode: str
     tier: float
@@ -386,21 +430,19 @@ class ScenarioReport:
     passed: bool
     gate_time_s: float
     total_duration_s: float
-    wall_time_s: float
     segment_count: int
     error_disk_max: float
     error_ion_max: float
     bound: float
     measured_over_bound: float
-    histogram_edges: np.ndarray
     histogram_counts: np.ndarray
     schedule_sha256: str
-    warnings: tuple[str, ...]
     pattern: TargetPattern
-    expansion: object
-    schedule: PulseSchedule
-    result: EvolutionResult
+    expansion: ZernikeExpansion
     error_map: ErrorMap
+    schedule: PulseSchedule
+    validation: ValidationReport
+    result: EvolutionResult
     crystal: IonCrystal
 
     def to_json_dict(self) -> dict:
@@ -419,24 +461,12 @@ class ScenarioReport:
             "timing": {
                 "gate_time_s": self.gate_time_s,
                 "total_duration_s": self.total_duration_s,
-                "wall_time_s": self.wall_time_s,
+                "wall_time_s": self.schedule.wall_time_s,
                 "segment_count": self.segment_count,
             },
             "schedule_sha256": self.schedule_sha256,
-            "warnings": list(self.warnings),
+            "warnings": list(self.validation.warnings),
         }
-
-
-def scenario_key(name: str, mode: str, tier: float) -> tuple[str, str, float]:
-    key = (str(name), str(mode), float(tier))
-    if key not in SCENARIOS:
-        known = sorted({k[0] for k in SCENARIOS})
-        raise ConfigError(
-            f"no reference parameter set for scenario={name!r} mode={mode!r} "
-            f"tier={tier!r}; known scenarios: {known}, modes: serial/parallel, "
-            f"tiers: 1e-2/1e-3"
-        )
-    return key
 
 
 def run_scenario(
@@ -444,75 +474,69 @@ def run_scenario(
     mode: str,
     tier: float,
     crystal: IonCrystal | None = None,
-    tol: float = 1e-12,
+    tol: float | None = None,
     out_dir: str | Path | None = None,
 ) -> ScenarioReport:
-    """Full pipeline for one named scenario: build the pattern, decompose,
-    plan, evolve exactly, and score against the ideal target phases.
+    """One named scenario's config through the three stages, scored against
+    its threshold; `tol` overrides the config's simulation tolerance.
 
     With `out_dir` set, writes report.json, evolution.csv (+ metadata
     sidecar), error_map.csv, histogram.csv, schedule.json, expansion.json
     and crystal.csv into that directory.
     """
-    key = scenario_key(name, mode, tier)
-    spec = SCENARIOS[key]
+    key = (str(name), str(mode), float(tier))
+    if key not in SCENARIOS:
+        raise ConfigError(
+            f"no reference parameter set for scenario={name!r} mode={mode!r} "
+            f"tier={tier!r}; known scenarios: {sorted({k[0] for k in SCENARIOS})}, "
+            f"modes: serial/parallel, tiers: 1e-2/1e-3"
+        )
+    payload, threshold = SCENARIOS[key]
+    cfg = config_from_dict(payload)
+    if tol is not None:
+        cfg = replace(cfg, tolerance=tol)
     if crystal is None:
-        crystal = generate_hex_crystal(DEFAULT_CRYSTAL_SHELLS, DEFAULT_CRYSTAL_SPACING)
+        crystal = cfg.build_crystal()
 
-    pattern = make_pattern(spec.pattern_kind, spec.amplitude)
-    expansion = decompose(pattern, spec.n_max, spec.m_max)
-    error_map = truncation_error_map(pattern, expansion, crystal=crystal)
+    pattern, expansion, error_map = decompose_stage(cfg, crystal)
+    schedule, validation, schedule_sha256 = plan_stage(cfg, expansion)
+    result = simulate_stage(cfg, crystal, schedule)
 
-    planner = plan_serial if mode == "serial" else plan_parallel
-    schedule = planner(
-        expansion, DEFAULT_U_RAD_S, DEFAULT_OMEGA_RAD_S, pattern_peak=pattern.peak_value()
-    )
-    report = validate_schedule(schedule)
-
-    result = evolve_exact(crystal, schedule, tol=tol)
-    theta_target = target_phases(
-        crystal, pattern, schedule.target_u_rad_s, schedule.gate_time_s
-    )
-    result = result.with_targets(theta_target)
     max_infid = result.max_infidelity
-
     bound = truncation_bound(
         error_map.ion_max, schedule.target_u_rad_s, pattern.peak_value(),
         schedule.gate_time_s,
     )
     if mode == "parallel":
-        bound = bound + linear_bound(spec.amplitude)
-    edges, counts = infidelity_histogram(result.infidelity)
+        bound = bound + linear_bound(cfg.pattern_amplitude)
 
     scenario = ScenarioReport(
         name=key[0], mode=key[1], tier=key[2],
         parameters={
-            "pattern_kind": spec.pattern_kind,
-            "amplitude": spec.amplitude,
-            "n_max": spec.n_max,
-            "m_max": spec.m_max,
-            "u_rad_s": DEFAULT_U_RAD_S,
-            "omega_rad_s": DEFAULT_OMEGA_RAD_S,
-            "psi": DEFAULT_PSI,
+            "pattern_kind": cfg.pattern_kind,
+            "amplitude": cfg.pattern_amplitude,
+            "n_max": cfg.n_max,
+            "m_max": cfg.m_max,
+            "u_rad_s": cfg.u_rad_s,
+            "omega_rad_s": cfg.omega_rad_s,
+            "psi": cfg.psi,
             "ion_count": len(crystal),
-            "tolerance": tol,
+            "tolerance": cfg.tolerance,
         },
-        threshold=spec.threshold,
+        threshold=threshold,
         max_infidelity=max_infid,
-        passed=bool(max_infid < spec.threshold),
+        passed=bool(max_infid < threshold),
         gate_time_s=schedule.gate_time_s,
         total_duration_s=schedule.total_duration_s,
-        wall_time_s=schedule.wall_time_s,
         segment_count=len(schedule.segments),
         error_disk_max=error_map.disk_max,
         error_ion_max=error_map.ion_max,
         bound=bound,
         measured_over_bound=max_infid / bound if bound > 0 else np.inf,
-        histogram_edges=edges, histogram_counts=counts,
-        schedule_sha256=schedule_hash(schedule),
-        warnings=tuple(report.warnings),
-        pattern=pattern, expansion=expansion, schedule=schedule,
-        result=result, error_map=error_map, crystal=crystal,
+        histogram_counts=infidelity_histogram(result.infidelity)[1],
+        schedule_sha256=schedule_sha256,
+        pattern=pattern, expansion=expansion, error_map=error_map,
+        schedule=schedule, validation=validation, result=result, crystal=crystal,
     )
     if out_dir is not None:
         write_scenario_artifacts(scenario, out_dir)
@@ -522,22 +546,17 @@ def run_scenario(
 def write_scenario_artifacts(report: ScenarioReport, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "report.json").open("w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_evolution_csv(report.result, report.crystal, out / "evolution.csv")
-    report.error_map.write_csv(out / "error_map.csv")
-    write_histogram_csv(report.histogram_edges, report.histogram_counts,
-                        out / "histogram.csv")
+    write_json(report.to_json_dict(), out / "report.json")
+    write_evolution(report.result, report.crystal, out)
+    write_decomposition(report.expansion, report.error_map, out)
     save_schedule(report.schedule, out / "schedule.json")
-    save_expansion(report.expansion, out / "expansion.json")
     save_crystal_csv(report.crystal, out / "crystal.csv")
 
 
 def reproduce_figure(
     figure_id: str,
     out_dir: str | Path,
-    tol: float = 1e-12,
+    tol: float | None = None,
 ) -> list[ScenarioReport]:
     """Run every scenario backing one figure id (fig3..fig12), or each
     registry scenario once for "all"; artifacts land in

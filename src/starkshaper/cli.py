@@ -1,9 +1,12 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages: decompose -> plan -> simulate,
-plus the rwa-study sweep and the one-shot reproduce runner for the named
-reference scenarios.  All artifacts are deterministic: rerunning with an
-identical config yields byte-identical files.
+decompose -> plan -> simulate are thin file wrappers around the pipeline
+stages in `analysis`, the same functions the reference scenarios run
+through: each command loads its config (and the previous stage's file),
+runs one stage and writes that stage's files.  rwa-study runs the
+exact-vs-RWA sweep, and reproduce runs the named reference scenarios.
+All artifacts are deterministic: rerunning with an identical config
+yields byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-tolerance
 failure, 4 precompensation out of mirror range.
@@ -11,8 +14,8 @@ failure, 4 precompensation out of mirror range.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -20,12 +23,16 @@ import click
 import numpy as np
 
 from . import analysis
-from .config import RunConfig, load_config
-from .crystal import generate_hex_crystal
-from .dynamics import evolve_exact, target_phases, write_evolution_csv
+# The commands reach these through the stages in `analysis`; the benchmark
+# also traces them at this module's attributes (perfbench/layers.py).
+from .analysis import (  # noqa: F401
+    decompose, evolve_exact, plan_parallel, plan_serial, save_expansion,
+    truncation_error_map, validate_schedule, write_evolution_csv,
+)
+from .config import load_config
 from .errors import StarkShaperError
-from .planner import load_schedule, plan_parallel, plan_serial, save_schedule, schedule_hash, validate_schedule
-from .zernike import decompose, load_expansion, save_expansion, truncation_error_map
+from .planner import load_schedule, save_schedule, schedule_hash
+from .zernike import load_expansion
 
 
 def _guarded(fn):
@@ -44,12 +51,6 @@ def _out_dir(out: str) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _crystal(cfg: RunConfig):
-    return generate_hex_crystal(
-        cfg.crystal_shells, cfg.crystal_spacing, cfg.crystal_orientation
-    )
 
 
 config_option = click.option(
@@ -78,11 +79,8 @@ def cmd_decompose(config_path, out):
     """Project the configured pattern onto the Zernike basis."""
     cfg = load_config(config_path)
     out = _out_dir(out)
-    pattern = cfg.build_pattern()
-    exp = decompose(pattern, cfg.n_max, cfg.m_max)
-    emap = truncation_error_map(pattern, exp, crystal=_crystal(cfg))
-    save_expansion(exp, out / "expansion.json")
-    emap.write_csv(out / "error_map.csv")
+    _, exp, emap = analysis.decompose_stage(cfg, cfg.build_crystal())
+    analysis.write_decomposition(exp, emap, out)
     click.echo(f"wrote {out / 'expansion.json'} ({sum(c.size for c in exp.cos + exp.sin)} coefficients)")
     click.echo(
         f"wrote {out / 'error_map.csv'} "
@@ -100,24 +98,14 @@ def cmd_plan(config_path, expansion_path, out):
     """Compile the expansion into a pulse schedule."""
     cfg = load_config(config_path)
     out = _out_dir(out)
-    exp = load_expansion(expansion_path)
-    pattern = cfg.build_pattern()
-    planner = plan_serial if cfg.mode == "serial" else plan_parallel
-    schedule = planner(
-        exp, cfg.u_rad_s, cfg.omega_rad_s, psi=cfg.psi,
-        pattern_peak=pattern.peak_value(),
-    )
-    report = validate_schedule(schedule)
+    schedule, report, schedule_sha256 = analysis.plan_stage(cfg, load_expansion(expansion_path))
     save_schedule(schedule, out / "schedule.json")
-    payload = {
+    analysis.write_json({
         "ok": report.ok,
         "warnings": list(report.warnings),
         "metrics": report.metrics,
-        "schedule_sha256": schedule_hash(schedule),
-    }
-    with (out / "validation.json").open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        "schedule_sha256": schedule_sha256,
+    }, out / "validation.json")
     click.echo(
         f"wrote {out / 'schedule.json'} ({cfg.mode}, {len(schedule.segments)} "
         f"segment(s), total {schedule.total_duration_s * 1e6:.4g} us)"
@@ -136,32 +124,23 @@ def cmd_plan(config_path, expansion_path, out):
 def cmd_simulate(config_path, schedule_path, out, tolerance):
     """Integrate the spin phase of every ion under a compiled schedule."""
     cfg = load_config(config_path)
+    if tolerance is not None:
+        cfg = dataclasses.replace(cfg, tolerance=tolerance)
     out = _out_dir(out)
     schedule = load_schedule(schedule_path)
-    crystal = _crystal(cfg)
-    pattern = cfg.build_pattern()
-    tol = cfg.tolerance if tolerance is None else tolerance
-
-    result = evolve_exact(crystal, schedule, tol=tol)
-    result = result.with_targets(target_phases(
-        crystal, pattern, schedule.target_u_rad_s, schedule.gate_time_s
-    ))
-    write_evolution_csv(result, crystal, out / "evolution.csv")
-    edges, counts = analysis.infidelity_histogram(result.infidelity)
-    analysis.write_histogram_csv(edges, counts, out / "histogram.csv")
-    payload = {
+    crystal = cfg.build_crystal()
+    result = analysis.simulate_stage(cfg, crystal, schedule)
+    analysis.write_evolution(result, crystal, out)
+    analysis.write_json({
         "max_infidelity": result.max_infidelity,
         "mean_infidelity": float(np.mean(result.infidelity)),
         "ion_count": len(crystal),
         "gate_time_s": schedule.gate_time_s,
         "total_duration_s": schedule.total_duration_s,
         "wall_time_s": schedule.wall_time_s,
-        "tolerance": tol,
+        "tolerance": cfg.tolerance,
         "schedule_sha256": schedule_hash(schedule),
-    }
-    with (out / "report.json").open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    }, out / "report.json")
     click.echo(
         f"wrote {out / 'evolution.csv'} "
         f"(max infidelity {result.max_infidelity:.4e} over {len(crystal)} ions)"
@@ -203,14 +182,11 @@ def cmd_rwa_study(config_path, out):
             f"omega = 2pi x {hz:.6g} Hz: max infidelity {series.max_infidelity:.4e}, "
             f"commensurate max {series.max_commensurate_infidelity:.3e}"
         )
-    payload = {
+    analysis.write_json({
         "u_rad_s": study.u_rad_s, "amplitude": study.amplitude,
         "order": study.order, "psi": study.psi, "t_max_s": study.t_max_s,
         "series": summary,
-    }
-    with (out / "rwa_summary.json").open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    }, out / "rwa_summary.json")
 
 
 @main.command("reproduce")
@@ -222,9 +198,7 @@ def cmd_reproduce(figure_id, out, tolerance):
     """Run the reference scenario(s) behind one figure id (fig3..fig12),
     or every registry scenario once with "all"."""
     out = _out_dir(out)
-    reports = analysis.reproduce_figure(
-        figure_id, out, tol=1e-12 if tolerance is None else tolerance,
-    )
+    reports = analysis.reproduce_figure(figure_id, out, tol=tolerance)
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"
         click.echo(

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .crystal import IonCrystal, generate_hex_crystal
 from .errors import ConfigError
 from .patterns import TargetPattern, make_pattern
 from .planner import DEFAULT_PSI
@@ -143,14 +144,18 @@ class RunConfig:
         if not all(0 < rate < np.inf for rate in rates):
             # a finite rate in Hz can still overflow when multiplied by 2 pi
             raise ConfigError(f"rates must be finite in rad/s, got {rates}")
-        if self.tolerance < 1e-13:
+        if not 1e-13 <= self.tolerance < np.inf:  # NaN fails too
             raise ConfigError(
-                f"tolerance {self.tolerance:g} is below the certifiable 1e-13 floor"
+                f"tolerance {self.tolerance:g} is not finite and >= the certifiable 1e-13 floor"
             )
 
     def build_pattern(self) -> TargetPattern:
         return make_pattern(self.pattern_kind, self.pattern_amplitude,
                             self.pattern_params)
+
+    def build_crystal(self) -> IonCrystal:
+        return generate_hex_crystal(self.crystal_shells, self.crystal_spacing,
+                                    self.crystal_orientation)
 
 
 def config_from_dict(payload: dict) -> RunConfig:

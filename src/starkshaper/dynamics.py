@@ -273,8 +273,8 @@ def evolve_exact(
     `tol` is the absolute tolerance on each segment's phase contribution
     (theta units).
     """
-    if tol < 1e-13:
-        raise ValueError("tolerance below 1e-13 is not resolvable in float64")
+    if not tol >= 1e-13:  # NaN fails too
+        raise ValueError(f"tolerance {tol:g} is not at or above 1e-13, the float64 resolution floor")
     omega = schedule.omega_rad_s
     theta = np.zeros(len(crystal))
     tables = _segment_tables(schedule.segments, crystal.rho)

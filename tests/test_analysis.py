@@ -226,7 +226,7 @@ class TestScenarios:
         assert names == {"annulus", "elliptical", "displaced"}
         assert len(an.SCENARIOS) == 10  # annulus has no parallel entries
         # the relaxed parallel tier-2 threshold is the only 3e-3
-        thresholds = {spec.threshold for spec in an.SCENARIOS.values()}
+        thresholds = {threshold for _, threshold in an.SCENARIOS.values()}
         assert thresholds == {1e-2, 1e-3, 3e-3}
 
     def test_unknown_scenario_rejected(self):
