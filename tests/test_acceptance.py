@@ -19,8 +19,9 @@ from starkshaper.dynamics import (
     evolve_exact_bessel,
     evolve_rwa,
     infidelity,
+    target_phases,
 )
-from starkshaper.patterns import EllipticalGaussianPattern
+from starkshaper.patterns import DisplacedGaussianPattern, EllipticalGaussianPattern
 from starkshaper.planner import (
     DeformationComponent,
     MirrorDeformation,
@@ -158,6 +159,29 @@ class TestCriterion5DisplacedSerial:
                 worst > 0.98, f"worst {worst:+.5f}",
             ))
         assert all(results)
+
+
+class TestHundredsOfIons:
+    def test_single_ion_addressing_in_469_ions(self):
+        # The abstract's claim at the registry's spot, scaled to a 12-shell
+        # crystal: the spot width shrinks with the spacing a and sits on
+        # lattice site (i, j) = (4, 2).
+        a = 1.0 / 12.0
+        crystal = generate_hex_crystal(12, a)
+        cx, cy = 5 * a, np.sqrt(3) * a
+        pattern = DisplacedGaussianPattern(3.0, eta=0.0707 * a / 0.2, delta_x=cx, delta_y=cy)
+        schedule = plan_serial(decompose(pattern, 96, 40), U0, OMEGA,
+                               pattern_peak=pattern.peak_value())
+        result = evolve_exact(crystal, schedule, tol=1e-12)
+        result = result.with_targets(target_phases(
+            crystal, pattern, schedule.target_u_rad_s, schedule.gate_time_s))
+        x, y = crystal.cartesian()
+        dist = np.hypot(x - cx, y - cy)
+        addressed = int(np.argmin(dist))
+        assert len(crystal) == 469 and dist[addressed] < 1e-12
+        assert result.max_infidelity < 1e-3
+        assert result.sigma_x[addressed] < -0.999
+        assert np.min(result.sigma_x[dist > 2 * a - 1e-12]) > 0.9999
 
 
 class TestCriterion6DisplacedParallel:

@@ -27,6 +27,8 @@ from starkshaper.planner import (
 )
 from starkshaper.specfun import J1_PEAK_VALUE
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
 BASE = {
     "pattern": {"kind": "annulus", "amplitude": 1.0},
     "decomposition": {"n_max": 18, "m_max": 0},
@@ -331,11 +333,12 @@ rwa_study: {omega_hz: [180.0e3], sample_count: 60}
         res = runner.invoke(main, ["rwa-study", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code != 0
 
-    def test_readme_quick_start_runs_as_written(self, runner, tmp_path, monkeypatch):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        quick = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    @pytest.mark.parametrize("section, bound", [("Quick start", 1e-2), ("Hundreds of ions", 1e-3)],
+                             ids=["quick-start", "hundreds-of-ions"])
+    def test_readme_quick_start_runs_as_written(self, runner, tmp_path, monkeypatch, section, bound):
+        quick = README.split(f"## {section}\n", 1)[1].split("\n## ", 1)[0]
         config = re.search(r"```yaml\n# (\S+)\n(.*?)```", quick, re.S)
-        assert config, "quick start has no yaml config block"
+        assert config, f"{section} has no yaml config block"
         commands = [
             shlex.split(line, comments=True)
             for line in re.search(r"```sh\n(.*?)```", quick, re.S)[1].splitlines()
@@ -347,8 +350,16 @@ rwa_study: {omega_hz: [180.0e3], sample_count: 60}
         for command in commands:
             res = runner.invoke(main, command[1:])
             assert res.exit_code == 0, f"{shlex.join(command)}: {res.output}"
-        report = json.loads((tmp_path / "run" / "report.json").read_text())
-        assert report["max_infidelity"] < 1e-2
+        out = commands[-1][commands[-1].index("--out") + 1]
+        report = json.loads((tmp_path / out / "report.json").read_text())
+        assert report["max_infidelity"] < bound
+
+    def test_readme_python_api_runs_as_written(self, capsys):
+        api = README.split("## Python API\n", 1)[1].split("\n## ", 1)[0]
+        code = re.search(r"```python\n(.*?)```", api, re.S)
+        assert code, "Python API section has no python block"
+        exec(compile(code[1], "README.md", "exec"), {})
+        assert 0.0 < float(capsys.readouterr().out) < 1e-2
 
     def test_reproduce_all_runs_each_scenario_once(self, runner, tmp_path, monkeypatch):
         annulus_only = {k: v for k, v in analysis.SCENARIOS.items() if k[0] == "annulus"}
@@ -436,6 +447,19 @@ simulation: {{tolerance: {tolerance}}}
         res = runner.invoke(main, ["decompose", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 2, res.output
         assert f"config invalid at {path}: nan is not a finite number" in res.output
+
+    @pytest.mark.parametrize("command, value", [
+        *(("simulate", v) for v in ("1e-14", "0", "-1", "nan", "inf")),
+        ("reproduce", "1e-14"),
+    ])
+    def test_tolerance_override_outside_the_floor_is_exit_2_naming_it(self, runner, tmp_path,
+                                                                      small_schedule, command, value):
+        cfg = write_yaml(tmp_path / "run.yaml", SMALL_ANNULUS_YAML)
+        args = (["simulate", "--config", cfg, "--schedule", small_schedule] if command == "simulate"
+                else ["reproduce", "fig4"])
+        res = runner.invoke(main, [*args, "--out", str(tmp_path / "o"), "--tolerance", value])
+        assert res.exit_code == 2, res.output
+        assert f"error: tolerance {float(value):g} is not finite and >= the certifiable" in res.output
 
     @pytest.mark.parametrize("pattern, name, shown", [
         ("{kind: elliptical_gaussian, amplitude: 0.5, params: {eta_x: .inf}}", "eta_x", "inf"),

@@ -259,8 +259,9 @@ class TestQuadratureVsSeries:
 
     def test_tolerance_floor(self):
         sched = single_order_schedule(1, 0.1, 20e-6)
-        with pytest.raises(ValueError):
-            evolve_exact(CRYSTAL, sched, tol=1e-14)
+        for tol in (1e-14, 0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="float64 resolution floor"):
+                evolve_exact(CRYSTAL, sched, tol=tol)
 
     def test_unconverged_quadrature_reports_its_numbers(self, monkeypatch):
         # 2 vs 4 samples per base period cannot certify 1e-12, so the error fires
