@@ -95,12 +95,11 @@ def linear_bound(amplitude: float) -> float:
     return (np.pi * amplitude / 2.0) ** 2
 
 
-def infidelity_histogram(values, log10_min: float = HISTOGRAM_LOG10_MIN,
-                         bin_width: float = HISTOGRAM_BIN_WIDTH):
+def infidelity_histogram(values):
     """log10-binned counts; every input lands in a bin (clipped below at
-    10**log10_min and above at 1), so counts sum to len(values)."""
-    vals = np.clip(np.asarray(values, dtype=float), 10.0 ** log10_min, 1.0)
-    edges = np.arange(log10_min, 0.0 + bin_width / 2.0, bin_width)
+    10**HISTOGRAM_LOG10_MIN and above at 1), so counts sum to len(values)."""
+    vals = np.clip(np.asarray(values, dtype=float), 10.0 ** HISTOGRAM_LOG10_MIN, 1.0)
+    edges = np.arange(HISTOGRAM_LOG10_MIN, 0.0 + HISTOGRAM_BIN_WIDTH / 2.0, HISTOGRAM_BIN_WIDTH)
     counts, _ = np.histogram(np.log10(vals), bins=edges)
     return edges, counts
 

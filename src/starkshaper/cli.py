@@ -78,8 +78,8 @@ def main():
 def cmd_decompose(config_path, out):
     """Project the configured pattern onto the Zernike basis."""
     cfg = load_config(config_path)
-    out = _out_dir(out)
     _, exp, emap = analysis.decompose_stage(cfg, cfg.build_crystal())
+    out = _out_dir(out)
     analysis.write_decomposition(exp, emap, out)
     click.echo(f"wrote {out / 'expansion.json'} ({sum(c.size for c in exp.cos + exp.sin)} coefficients)")
     click.echo(
@@ -97,8 +97,8 @@ def cmd_decompose(config_path, out):
 def cmd_plan(config_path, expansion_path, out):
     """Compile the expansion into a pulse schedule."""
     cfg = load_config(config_path)
-    out = _out_dir(out)
     schedule, report, schedule_sha256 = analysis.plan_stage(cfg, load_expansion(expansion_path))
+    out = _out_dir(out)
     save_schedule(schedule, out / "schedule.json")
     analysis.write_json({
         "ok": report.ok,
@@ -126,10 +126,10 @@ def cmd_simulate(config_path, schedule_path, out, tolerance):
     cfg = load_config(config_path)
     if tolerance is not None:
         cfg = dataclasses.replace(cfg, tolerance=tolerance)
-    out = _out_dir(out)
     schedule = load_schedule(schedule_path)
     crystal = cfg.build_crystal()
     result = analysis.simulate_stage(cfg, crystal, schedule)
+    out = _out_dir(out)
     analysis.write_evolution(result, crystal, out)
     analysis.write_json({
         "max_infidelity": result.max_infidelity,
@@ -156,13 +156,13 @@ def cmd_rwa_study(config_path, out):
     cfg = load_config(config_path)
     if cfg.rwa is None:
         raise click.UsageError("config has no rwa_study section")
-    out = _out_dir(out)
     study = analysis.rwa_study(
         cfg.rwa["omega_list"], u_rad_s=cfg.u_rad_s,
         amplitude=cfg.rwa["amplitude"], m=cfg.rwa["m"],
         sample_count=cfg.rwa["sample_count"], t_max_s=cfg.rwa["t_max_s"],
         psi=cfg.psi,
     )
+    out = _out_dir(out)
     summary = []
     for series in study.series:
         hz = series.omega_rad_s / (2.0 * np.pi)
@@ -197,7 +197,6 @@ def cmd_rwa_study(config_path, out):
 def cmd_reproduce(figure_id, out, tolerance):
     """Run the reference scenario(s) behind one figure id (fig3..fig12),
     or every registry scenario once with "all"."""
-    out = _out_dir(out)
     reports = analysis.reproduce_figure(figure_id, out, tol=tolerance)
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"

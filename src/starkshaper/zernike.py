@@ -9,10 +9,11 @@ folded into the weights (exact for polynomial radial content up to degree
 2*nodes - 2, i.e. far past the basis used here, and spectrally convergent
 for the analytic patterns), times a uniform trapezoid rule in phi
 (spectrally accurate for periodic integrands, exact for trig content far
-below the aliasing order).  Convergence is certified by doubling both node
-counts.  A u = rho^2 substitution was tried first and rejected: integrands
-with odd radial Taylor content acquire a sqrt(u) endpoint singularity that
-stalls convergence near 1e-6.
+below the aliasing order).  decompose sizes the rule itself: both node
+counts double from BASE_RULE until two successive rules agree, up to
+MAX_RULE.  A u = rho^2 substitution was tried first and rejected:
+integrands with odd radial Taylor content acquire a sqrt(u) endpoint
+singularity that stalls convergence near 1e-6.
 """
 
 from __future__ import annotations
@@ -34,24 +35,11 @@ from .specfun import (
 
 COEFFICIENT_EXPORT_FLOOR = 1e-12
 
-
-@dataclass(frozen=True)
-class DiskQuadrature:
-    """Tensor-product quadrature on the unit disk (see module docstring)."""
-
-    radial: int = 96
-    azimuthal: int = 512
-
-    def __post_init__(self) -> None:
-        if self.radial < 4 or self.azimuthal < 8:
-            raise ValueError(f"quadrature too coarse: {self.radial}x{self.azimuthal}")
-
-    @property
-    def nodes(self):
-        return _disk_nodes(self.radial, self.azimuthal)
-
-    def doubled(self) -> "DiskQuadrature":
-        return DiskQuadrature(2 * self.radial, 2 * self.azimuthal)
+# (radial, azimuthal) node counts: decompose projects on BASE_RULE first and
+# refuses a pattern whose projection still moves on reaching MAX_RULE
+# (3.1M nodes, 25 MB per array)
+BASE_RULE = (96, 512)
+MAX_RULE = (768, 4096)
 
 
 @lru_cache(maxsize=16)
@@ -65,9 +53,10 @@ def _disk_nodes(radial: int, azimuthal: int):
     return rho, w_rho, phi, w_phi
 
 
-def disk_inner_product(f, g, quad: DiskQuadrature = DiskQuadrature()) -> float:
-    """<f, g> = integral over the unit disk of f*g with measure rho drho dphi."""
-    rho, w_rho, phi, w_phi = quad.nodes
+def disk_inner_product(f, g) -> float:
+    """<f, g> = integral over the unit disk of f*g with measure rho drho dphi,
+    on the BASE_RULE nodes."""
+    rho, w_rho, phi, w_phi = _disk_nodes(*BASE_RULE)
     fg = np.asarray(f(rho[:, None], phi[None, :])) * np.asarray(g(rho[:, None], phi[None, :]))
     return float(w_phi * (w_rho @ fg.sum(axis=1)))
 
@@ -148,41 +137,43 @@ class ZernikeExpansion:
         return total
 
 
-def decompose(
-    pattern: TargetPattern,
-    n_max: int,
-    m_max: int,
-    quad: DiskQuadrature = DiskQuadrature(),
-) -> ZernikeExpansion:
+def decompose(pattern: TargetPattern, n_max: int, m_max: int) -> ZernikeExpansion:
     """Project pattern / amplitude onto all valid Z_n^m with n <= n_max,
     |m| <= m_max:  alpha_n^m = (2n + 2) / (eps_m pi) * <F/A, Z_n^m>.
 
-    The projection is repeated on a doubled rule and a QuadratureError is
-    raised if any coefficient moves by more than 1e-9 relative to the
-    largest one.
+    The projection starts on BASE_RULE and is repeated with both node
+    counts doubled until no coefficient moves by 1e-9 relative to the
+    largest one; the coarser rule of that agreeing pair is returned.
+    A QuadratureError names the last pair and its drift when MAX_RULE is
+    reached first.
     """
     if not 0 <= m_max <= n_max:
         raise ValueError(f"need 0 <= m_max <= n_max, got n_max={n_max}, m_max={m_max}")
     if pattern.amplitude == 0:
         raise ValueError("pattern amplitude must be nonzero to decompose")
 
-    cos, sin = _project(pattern, n_max, m_max, quad)
-    fine_cos, fine_sin = _project(pattern, n_max, m_max, quad.doubled())
-    base = np.concatenate(cos + sin)
-    fine = np.concatenate(fine_cos + fine_sin)
-    scale = max(float(np.max(np.abs(base))), 1e-30)
-    drift = float(np.max(np.abs(fine - base))) / scale
-    if drift >= 1e-9:
-        raise QuadratureError(
-            f"decomposition not converged on {quad.radial}x{quad.azimuthal} rule: "
-            f"doubling moves coefficients by {drift:.2e} (relative)"
-        )
-    return ZernikeExpansion(pattern.amplitude, n_max, m_max, cos, sin)
+    rule = BASE_RULE
+    coarse = _project(pattern, n_max, m_max, *rule)
+    while True:
+        finer = (2 * rule[0], 2 * rule[1])
+        fine = _project(pattern, n_max, m_max, *finer)
+        base = np.concatenate(coarse[0] + coarse[1])
+        scale = max(float(np.max(np.abs(base))), 1e-30)
+        drift = float(np.max(np.abs(np.concatenate(fine[0] + fine[1]) - base))) / scale
+        if drift < 1e-9:
+            return ZernikeExpansion(pattern.amplitude, n_max, m_max, *coarse)
+        if finer == MAX_RULE:
+            raise QuadratureError(
+                f"decomposition not converged: the {rule[0]}x{rule[1]} and "
+                f"{finer[0]}x{finer[1]} rules differ by {drift:.2e} (relative)"
+            )
+        rule, coarse = finer, fine
 
 
-def _project(pattern: TargetPattern, n_max: int, m_max: int, quad: DiskQuadrature):
-    """The (cos, sin) coefficient arrays of ZernikeExpansion on one rule."""
-    rho, w_rho, phi, w_phi = quad.nodes
+def _project(pattern: TargetPattern, n_max: int, m_max: int, radial: int, azimuthal: int):
+    """The (cos, sin) coefficient arrays of ZernikeExpansion on the
+    radial x azimuthal rule."""
+    rho, w_rho, phi, w_phi = _disk_nodes(radial, azimuthal)
     values = np.asarray(pattern(rho[:, None], phi[None, :]), dtype=float) / pattern.amplitude
 
     orders = np.arange(m_max + 1)

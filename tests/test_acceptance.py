@@ -162,15 +162,20 @@ class TestCriterion5DisplacedSerial:
 
 
 class TestHundredsOfIons:
-    def test_single_ion_addressing_in_469_ions(self):
-        # The abstract's claim at the registry's spot, scaled to a 12-shell
+    @pytest.mark.parametrize("shells, ions, n_max, m_max, target_sigma_x", [
+        (12, 469, 96, 40, -0.999),
+        (20, 1261, 160, 64, -0.998),
+    ], ids=["469-ions", "1261-ions"])
+    def test_single_ion_addressing(self, shells, ions, n_max, m_max, target_sigma_x):
+        # The abstract's claim at the registry's spot, scaled to the
         # crystal: the spot width shrinks with the spacing a and sits on
-        # lattice site (i, j) = (4, 2).
-        a = 1.0 / 12.0
-        crystal = generate_hex_crystal(12, a)
+        # lattice site (i, j) = (4, 2).  The 1261-ion spot needs the
+        # 192x1024 decomposition rule.
+        a = 1.0 / shells
+        crystal = generate_hex_crystal(shells, a)
         cx, cy = 5 * a, np.sqrt(3) * a
         pattern = DisplacedGaussianPattern(3.0, eta=0.0707 * a / 0.2, delta_x=cx, delta_y=cy)
-        schedule = plan_serial(decompose(pattern, 96, 40), U0, OMEGA,
+        schedule = plan_serial(decompose(pattern, n_max, m_max), U0, OMEGA,
                                pattern_peak=pattern.peak_value())
         result = evolve_exact(crystal, schedule, tol=1e-12)
         result = result.with_targets(target_phases(
@@ -178,9 +183,9 @@ class TestHundredsOfIons:
         x, y = crystal.cartesian()
         dist = np.hypot(x - cx, y - cy)
         addressed = int(np.argmin(dist))
-        assert len(crystal) == 469 and dist[addressed] < 1e-12
+        assert len(crystal) == ions and dist[addressed] < 1e-12
         assert result.max_infidelity < 1e-3
-        assert result.sigma_x[addressed] < -0.999
+        assert result.sigma_x[addressed] < target_sigma_x
         assert np.min(result.sigma_x[dist > 2 * a - 1e-12]) > 0.9999
 
 

@@ -228,6 +228,17 @@ mode: serial
 crystal: {shells: 3, spacing: 0.3}
 """
 
+# the annulus edge is still unresolved by the finest decomposition rule
+SHARP_ANNULUS_YAML = """
+pattern:
+  kind: annulus
+  amplitude: 1.0
+  params: {r1: 0.45, r2: 0.55, kappa: 1000.0}
+decomposition: {n_max: 18, m_max: 0}
+drive: {u_hz: 1.0e4, omega_hz: 1.8e5}
+mode: serial
+"""
+
 DISPLACED_PARALLEL_YAML = """
 pattern: {kind: displaced_gaussian, amplitude: 0.3}
 decomposition: {n_max: 40, m_max: 9}
@@ -498,17 +509,10 @@ mode: serial
         assert f"config invalid at {path}: " in res.output and "finite number" in res.output
 
     def test_quadrature_error_is_exit_3(self, runner, tmp_path):
-        cfg = write_yaml(tmp_path / "sharp.yaml", """
-pattern:
-  kind: annulus
-  amplitude: 1.0
-  params: {r1: 0.45, r2: 0.55, kappa: 200.0}
-decomposition: {n_max: 18, m_max: 0}
-drive: {u_hz: 1.0e4, omega_hz: 1.8e5}
-mode: serial
-""")
+        cfg = write_yaml(tmp_path / "sharp.yaml", SHARP_ANNULUS_YAML)
         res = runner.invoke(main, ["decompose", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 3
+        assert "768x4096 rules differ by" in res.output
 
     def test_precompensation_error_is_exit_4(self, runner, tmp_path):
         cfg = write_yaml(tmp_path / "hot.yaml", """
@@ -528,6 +532,22 @@ mode: serial
         res = runner.invoke(main, ["reproduce", "fig99", "--out", str(tmp_path)])
         assert res.exit_code == 2
         assert "'all'" in res.output
+
+    @pytest.mark.parametrize("argv, code", [
+        (["reproduce", "fig2"], 2),
+        (["decompose", "--config", "{sharp}"], 3),
+        (["plan", "--config", "{small}", "--expansion", "{tmp}/missing.json"], 2),
+        (["simulate", "--config", "{small}", "--schedule", "{schedule}", "--tolerance", "nan"], 2),
+    ], ids=["reproduce-unknown-figure", "decompose-unconverged", "plan-missing-expansion",
+            "simulate-nan-tolerance"])
+    def test_refused_command_leaves_no_out_dir(self, runner, tmp_path, small_schedule, argv, code):
+        files = {"sharp": write_yaml(tmp_path / "sharp.yaml", SHARP_ANNULUS_YAML),
+                 "small": write_yaml(tmp_path / "small.yaml", SMALL_ANNULUS_YAML),
+                 "schedule": small_schedule, "tmp": tmp_path}
+        out = tmp_path / "figx" / "sub"
+        res = runner.invoke(main, [arg.format(**files) for arg in argv] + ["--out", str(out)])
+        assert res.exit_code == code, res.output
+        assert not (tmp_path / "figx").exists()
 
     def test_config_setting_threads_is_exit_2(self, runner, tmp_path):
         cfg = write_yaml(tmp_path / "threads.yaml", SMALL_ANNULUS_YAML + """

@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starkshaper import zernike
+from starkshaper.analysis import SCENARIOS
+from starkshaper.config import config_from_dict
 from starkshaper.crystal import generate_hex_crystal
 from starkshaper.errors import ConfigError, QuadratureError
 from starkshaper.patterns import (
@@ -19,7 +22,6 @@ from starkshaper.patterns import (
 )
 from starkshaper.specfun import ZernikeIndex, zernike_eval
 from starkshaper.zernike import (
-    DiskQuadrature,
     ErrorMap,
     ZernikeExpansion,
     decompose,
@@ -56,11 +58,6 @@ class TestDiskQuadrature:
             idx = ZernikeIndex(n, m)
             f = lambda rho, phi: zernike_eval(idx, rho, phi)
             assert disk_inner_product(f, f) == pytest.approx(idx.norm(), rel=1e-11)
-
-    def test_doubling_returns_finer_rule(self):
-        q = DiskQuadrature(radial=96, azimuthal=512)
-        q2 = q.doubled()
-        assert (q2.radial, q2.azimuthal) == (192, 1024)
 
 
 class TestDecompose:
@@ -142,10 +139,47 @@ class TestDecompose:
         assert captured == pytest.approx(total, rel=2e-2)
 
     def test_certification_failure_raises(self):
-        # a coarse rule cannot certify the sharp annulus to 1e-9
-        pat = AnnulusPattern(amplitude=1.0, kappa=40.0)
-        with pytest.raises(QuadratureError):
-            decompose(pat, n_max=12, m_max=0, quad=DiskQuadrature(radial=12, azimuthal=128))
+        # the kappa = 1000 annulus edge is still unresolved at the cap
+        pat = AnnulusPattern(amplitude=1.0, kappa=1000.0)
+        with pytest.raises(QuadratureError) as info:
+            decompose(pat, n_max=12, m_max=0)
+        message = str(info.value)
+        assert "384x2048 and 768x4096 rules" in message
+        drift = float(re.search(r"differ by (\S+) \(relative\)", message).group(1))
+        assert drift == pytest.approx(1.6e-3, rel=0.05)
+
+    def test_narrow_spot_doubles_until_two_rules_agree(self, monkeypatch):
+        # the registry's displaced spot scaled to a 20-shell (1261-ion)
+        # crystal's spacing: the 96x512 and 192x1024 rules differ by 3.4e-5,
+        # the 192x1024 and 384x2048 rules agree to 2e-14
+        a = 1.0 / 20.0
+        pat = DisplacedGaussianPattern(3.0, eta=0.0707 * a / 0.2, delta_x=5 * a, delta_y=np.sqrt(3) * a)
+        project = zernike._project
+        rules = count_projections(monkeypatch)
+        exp = decompose(pat, n_max=160, m_max=64)
+        assert rules == [(96, 512), (192, 1024), (384, 2048)]
+        cos, sin = project(pat, 160, 64, 192, 1024)
+        assert [c.tobytes() for c in exp.cos + exp.sin] == [c.tobytes() for c in cos + sin]
+
+    @pytest.mark.parametrize("key", list(SCENARIOS), ids=lambda key: "_".join(map(str, key)))
+    def test_registry_converges_on_the_first_pair(self, monkeypatch, key):
+        cfg = config_from_dict(SCENARIOS[key][0])
+        rules = count_projections(monkeypatch)
+        decompose(cfg.build_pattern(), cfg.n_max, cfg.m_max)
+        assert rules == [(96, 512), (192, 1024)]
+
+
+def count_projections(monkeypatch):
+    """The (radial, azimuthal) rule of every `_project` call from now on."""
+    rules = []
+    project = zernike._project
+
+    def counting(pattern, n_max, m_max, radial, azimuthal):
+        rules.append((radial, azimuthal))
+        return project(pattern, n_max, m_max, radial, azimuthal)
+
+    monkeypatch.setattr(zernike, "_project", counting)
+    return rules
 
 
 class TestRadialProfiles:
