@@ -226,35 +226,33 @@ def zernike_radial_stack(m, k_max: int, rho) -> np.ndarray:
     if k_max >= 1:
         p_cur = 0.5 * ((m + 2.0) * x + m)  # P_1^{(m,0)}
         out[1] = -rho_m * p_cur
-    for k in range(2, k_max + 1):
-        c = 2.0 * k + m
-        a1 = 2.0 * k * (k + m) * (c - 2.0)
-        a2 = (c - 1.0) * (c * (c - 2.0) * x + m * m)
-        a3 = 2.0 * (k + m - 1.0) * (k - 1.0) * c
-        p_next = (a2 * p_cur - a3 * p_prev) / a1
+    # the factors that do not depend on x, for every k at once (a leading
+    # k axis over m's shape), each formed by the same operations as a
+    # per-k evaluation would
+    k = np.arange(2, k_max + 1).reshape((-1,) + (1,) * m.ndim)
+    c = 2.0 * k + m
+    a1 = 2.0 * k * (k + m) * (c - 2.0)
+    a3 = 2.0 * (k + m - 1.0) * (k - 1.0) * c
+    c_c2, c_1, m_m = c * (c - 2.0), c - 1.0, m * m
+    for i in range(k_max - 1):
+        a2 = c_1[i] * (c_c2[i] * x + m_m)
+        p_next = (a2 * p_cur - a3[i] * p_prev) / a1[i]
         p_prev, p_cur = p_cur, p_next
-        out[k] = rho_m * p_cur if k % 2 == 0 else -rho_m * p_cur
+        out[i + 2] = rho_m * p_cur if i % 2 == 0 else -rho_m * p_cur
     return stack
 
 
 def zernike_radial_dot(coeffs, stack) -> np.ndarray:
     """sum_k coeffs[k] stack[k] for a radial stack of one order with at
     least len(coeffs) rows (a slice of a joint sweep will do): zeros when
-    every coefficient is 0, else one tensordot, so a sum keeps its bits
-    whichever sweep its rows came from."""
+    every coefficient is 0, else one matrix product, so a sum keeps its
+    bits whichever sweep its rows came from."""
     coeffs = np.asarray(coeffs, dtype=float)
     if not np.any(coeffs):
         return np.zeros(stack.shape[1:])
-    return np.tensordot(coeffs, stack[:coeffs.size], axes=(0, 0))
-
-
-def zernike_radial_sum(m: int, coeffs, rho) -> np.ndarray:
-    """sum_k coeffs[k] R_{m+2k}^m(rho), shaped like rho."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    if not np.any(coeffs):
-        return np.zeros_like(rho)
-    return zernike_radial_dot(coeffs, zernike_radial_stack(m, coeffs.size - 1, rho))
+    # the (1, K) x (K, N) product np.tensordot(coeffs, rows, axes=(0, 0)) forms
+    rows = stack[:coeffs.size]
+    return np.dot(coeffs.reshape(1, -1), rows.reshape(coeffs.size, -1)).reshape(rows.shape[1:])
 
 
 def zernike_radial(n: int, m: int, rho) -> np.ndarray | float:

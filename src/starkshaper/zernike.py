@@ -19,8 +19,10 @@ singularity that stalls convergence near 1e-6.
 from __future__ import annotations
 
 import json
+import math
 import mmap
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -30,7 +32,6 @@ from .errors import ConfigError, QuadratureError
 from .patterns import TargetPattern
 from .specfun import (
     ZernikeIndex, is_count, is_real, is_whole, zernike_radial_dot, zernike_radial_stack,
-    zernike_radial_sum,
 )
 
 COEFFICIENT_EXPORT_FLOOR = 1e-12
@@ -40,6 +41,8 @@ COEFFICIENT_EXPORT_FLOOR = 1e-12
 # (3.1M nodes, 25 MB per array)
 BASE_RULE = (96, 512)
 MAX_RULE = (768, 4096)
+
+_MAP_ROWS = 32  # error-map grid rows per block: a block's three buffers stay in cache
 
 
 @lru_cache(maxsize=16)
@@ -99,14 +102,6 @@ class ZernikeExpansion:
                 for k, alpha in enumerate(table[m].tolist()):
                     yield ZernikeIndex(m + 2 * k, sign * m), alpha
 
-    def even(self, m: int, rho) -> np.ndarray:
-        """P^m at rho (coefficient of cos(m phi) in F-tilde / A)."""
-        return zernike_radial_sum(m, self.cos[m], rho)
-
-    def odd(self, m: int, rho) -> np.ndarray:
-        """Q^m at rho (coefficient of sin(m phi)); identically 0 for m = 0."""
-        return zernike_radial_sum(m, self.sin[m], rho)
-
     def active_orders(self, floor: float = 0.0) -> list[int]:
         """Azimuthal orders with any coefficient above `floor`."""
         return [
@@ -114,23 +109,29 @@ class ZernikeExpansion:
             if any(t[m].size and np.max(np.abs(t[m])) > floor for t in (self.cos, self.sin))
         ]
 
+    def radial_sums(self, rho) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """(m, P^m, Q^m) for every order: the coefficients of cos(m phi)
+        and sin(m phi) in F-tilde / A at rho, shaped like rho.  One radial
+        sweep covers every order and both parities, each sum contracting
+        its slice through `zernike_radial_dot` (so a sum over the same radii
+        keeps its bits, whichever sweep it came from); Q^0 is 0."""
+        stack = zernike_radial_stack(range(self.m_max + 1), self.n_max // 2, rho)
+        return [(m, zernike_radial_dot(self.cos[m], stack[m]), zernike_radial_dot(self.sin[m], stack[m]))
+                for m in range(self.m_max + 1)]
+
     def reconstruct(self, rho, phi) -> np.ndarray | float:
         """A * sum over m of P^m cos(m phi) + Q^m sin(m phi); the radial sums
         are evaluated on rho's own shape and broadcast against phi only in
-        the products.  One radial sweep covers every order and both
-        parities; each sum contracts its slice as `even` and `odd` do, so
-        the result keeps their bits.  The radius sets it serves (the error
-        map's 256 grid rows, the ions) keep that stack below 1 MB."""
+        the products.  The radius sets it serves (the ions; the error map's
+        256 grid rows) keep the radial stack below 1 MB."""
         rho = np.asarray(rho, float)
         phi = np.asarray(phi, float)
-        stack = zernike_radial_stack(range(self.m_max + 1), self.n_max // 2, rho)
         total = np.zeros(np.broadcast_shapes(rho.shape, phi.shape))
-        for m in range(self.m_max + 1):
+        for m, even, odd in self.radial_sums(rho):
             if m == 0:
-                total += zernike_radial_dot(self.cos[0], stack[0])
+                total += even
             else:
-                total += (zernike_radial_dot(self.cos[m], stack[m]) * np.cos(m * phi)
-                          + zernike_radial_dot(self.sin[m], stack[m]) * np.sin(m * phi))
+                total += even * np.cos(m * phi) + odd * np.sin(m * phi)
         total *= self.amplitude
         if total.ndim == 0:
             return float(total)
@@ -215,11 +216,14 @@ class ErrorMap:
     def write_csv(self, path: str | Path) -> None:
         """rho,phi,error rows, every number exactly as `'%.17g' % x` writes it.
 
-        The grid rows go through in blocks: each block's cells are laid out
-        by `_G17` into NUL-padded fixed-width byte rows beside the rho and
-        phi prefixes, which Python formats once per call, and the block is
-        written with its NUL bytes dropped.  `_G17` explains why the digits
-        are exact and which cells it leaves to `'%.17g' %`."""
+        The grid rows go through in blocks: `_G17` lays out each block's
+        cells into NUL-padded fixed-width byte rows beside the rho and phi
+        prefixes, which Python formats once per call, and each grid row is
+        written with its NUL bytes dropped.  A cell's 17 digits are the
+        integer round-half-even(|x| 10**(16 - X)), formed exactly from the
+        double's significand and exponent; only zeros, subnormals, NaN,
+        +-inf and magnitudes outside [1e-37, 1) go through `'%.17g' %`.
+        `_G17` says why the integer digits are exact."""
         rho_txt = [b"%.17g," % r for r in self.rho.tolist()]
         phi_txt = [b"%.17g," % p for p in self.phi.tolist()]
         error = np.asarray(self.error, dtype=float)
@@ -245,66 +249,99 @@ class ErrorMap:
 # ---------------------------------------------------------------------------
 # '%.17g' for a block of doubles at a time
 
-_G17_X_MIN, _G17_X_MAX = -38, 43  # the decimal exponents _G17 lays out itself
-_G17_BAND = 1.5 * np.finfo(np.longdouble).eps * 1e17
-_G17_WIDTH = 43  # slots: sign, "0.000", 17 digits each followed by a point slot, "e+XX"
+_G17_X_MIN, _G17_X_MAX = -37, -1  # the decimal exponents _G17 writes itself
+_G17_P_NARROW = 27  # p = 16 - X up to which 5**p < 2**63 fits one word
+_G17_WIDTH = 28  # slots: sign, "0.000", a digit, a point, 16 digits, "e-XX"
 _G17_BLOCK_CELLS = 4096
 
 
 def _g17_tables():
-    """The scale factors per exponent, the slot layout per (exponent, last
-    nonzero digit), and per four-digit group its digits interleaved with
-    0xFF point slots and its count of trailing zeros.  Built in small
-    dtypes: import-time temporaries would stay resident."""
-    tens = np.multiply.accumulate(np.r_[1, np.full(27, 10)].astype(np.longdouble))  # exact
-    p = 16 - np.arange(_G17_X_MIN - 1, _G17_X_MAX + 2)
-    scale = np.stack([tens[np.clip(p, 0, 27)], tens[np.clip(p - 27, 0, 27)], tens[np.clip(-p, 0, 27)]])
-    x = np.arange(_G17_X_MIN, _G17_X_MAX + 1)
-    fixed = (-4 <= x) & (x < 17)
-    last = np.arange(17)
-    layout = np.zeros((x.size, 17, _G17_WIDTH), np.uint8)
-    kept = np.where(fixed[:, None], np.maximum(last, x[:, None]), last)  # last digit written
-    layout[:, :, 6:39:2] = np.where(last <= kept[:, :, None], 0xFF, 0)
-    point = np.where(fixed, x, 0)  # the digit a point follows, where one is written
-    i, j = np.nonzero(~(fixed & (x < 0))[:, None] & (last > point[:, None]))
-    layout[i, j, 7 + 2 * point[i]] = ord(".")
-    for e in range(-4, 0):
-        layout[e - _G17_X_MIN, :, 1:2 - e] = np.frombuffer(b"0." + b"0" * (-e - 1), np.uint8)
-    exponents = b"".join(b"e%+03d" % e for e in x[~fixed])
-    layout[~fixed, :, 39:] = np.frombuffer(exponents, np.uint8).reshape(-1, 1, 4)
+    """Per binade (the exponent field of |v|): p = 16 - X of its smallest
+    value, the bits of the smallest double at or above the power of ten
+    that starts the next decade, and the shift 1075 - field - p; 5**p as
+    32-bit halves up to p = 27, and 5**p 2**4 as two words beyond; the
+    slot layout per (p, trailing zeros); and per four-digit group its ASCII
+    digits and its count of trailing zeros.  Built in small dtypes:
+    import-time temporaries would stay resident."""
+    p_max = 16 - _G17_X_MIN
+    p = np.full(2048, 255, np.uint64)  # 255: no decimal exponent written here
+    ten = np.zeros(2048, np.uint64)
+    shift = np.zeros(2048, np.uint64)
+    for b in range(math.floor((_G17_X_MIN - 1) * math.log2(10)), math.ceil((_G17_X_MAX + 1) * math.log2(10))):
+        x = len(str(2**b)) - 1 if b >= 0 else len(str(5**-b)) - 1 + b  # floor(log10 2**b)
+        if _G17_X_MIN - 1 <= x <= _G17_X_MAX:
+            up = Fraction(10) ** (x + 1)
+            t = float(up)
+            t = t if Fraction(t) >= up else float(np.nextafter(t, np.inf))
+            p[b + 1023], ten[b + 1023] = 16 - x, np.float64(t).view(np.uint64)
+            shift[b + 1023] = 1075 - (b + 1023) - (16 - x)
+    five = np.array([5**k for k in range(_G17_P_NARROW + 1)], np.uint64)
+    wide = np.array([divmod(5**k << 4, 2**64) for k in range(_G17_P_NARROW + 1, p_max + 1)], np.uint64)
+    layout = np.zeros((p_max + 1, 17, 32), np.uint8)  # (p, trailing zeros, slot)
+    for k in range(16 - _G17_X_MAX - 1, p_max + 1):  # from X + 1 after rounding up
+        x = 16 - k
+        for zeros in range(17):
+            row = layout[k, zeros]
+            row[6], row[8:24 - zeros] = 0xFF, 0xFF
+            if x < -4:
+                row[7] = ord(".") if zeros < 16 else 0
+                row[24:28] = np.frombuffer(b"e%+03d" % x, np.uint8)
+            elif x < 0:
+                row[1:2 - x] = np.frombuffer(b"0." + b"0" * (-x - 1), np.uint8)
     group = np.arange(10000, dtype=np.uint16)
-    quads = np.full((10000, 8), 0xFF, np.uint8)
+    quads = np.zeros((10000, 4), np.uint8)
     zeros = np.zeros(10000, np.uint8)
     for k, unit in enumerate((1000, 100, 10, 1)):
-        quads[:, 2 * k] = 48 + group // unit % 10
+        quads[:, k] = 48 + group // unit % 10
         zeros += group % (10 * unit) == 0
-    return scale, layout.reshape(-1, _G17_WIDTH), quads.view(np.uint64).ravel(), zeros
+    quads = quads.view(np.uint32).ravel().astype(np.uint64)
+    return (p, ten, shift, five & 0xFFFFFFFF, five >> 32, wide, layout.view(np.uint64).reshape(-1, 4),
+            quads, quads << 32, zeros)
 
 
-_G17_SCALE, _G17_LAYOUT, _G17_QUADS, _G17_QUAD_ZEROS = _g17_tables()
+(_G17_P, _G17_TEN, _G17_SHIFT, _G17_FIVE_LO, _G17_FIVE_HI, _G17_FIVE_WIDE, _G17_LAYOUT,
+ _G17_QUADS, _G17_QUADS_HIGH, _G17_QUAD_ZEROS) = _g17_tables()
+
+
+def _times(mh, ml, f):
+    """(high, low) words of M f for M = mh 2**32 + ml < 2**53 and words f."""
+    fh, fl = f >> 32, f & 0xFFFFFFFF
+    cross = mh * fl
+    mid = ml * fh + cross
+    carry = (mid < cross).astype(np.uint64) << 32
+    shifted = mid << 32
+    low = ml * fl + shifted
+    return mh * fh + (mid >> 32) + (low < shifted) + carry, low
 
 
 class _G17:
     """Writes `'%.17g' % v` for up to `cells` doubles into rows of
     _G17_WIDTH NUL-padded ASCII slots, from buffers allocated once.
 
-    For finite nonzero v with decimal exponent X, the 17 digits are
-    N = round(y), y = |v| * 10**(16 - X).  y is formed in longdouble, where
-    10**k is exact up to k = 27 (5**27 < 2**64): one factor for 16 - X <= 27,
-    two up to 54, one division for X > 16.  So y carries at most two
-    roundings, an error below eps * 1e17 on y < 1e17.  X comes from
-    floor(log10 |v|), moved by one where trunc(y) leaves [1e16, 1e17); N is
-    trunc(y) plus one where frac(y) > 1/2, and N = 1e17 becomes 1e16 with
-    X + 1.  This is the correctly rounded N unless the exact fraction can
-    lie on the other side of 1/2, so cells whose frac(y) lies within
-    _G17_BAND = 1.5 eps 1e17 of 1/2 are formatted by `'%.17g' %` instead,
-    as are zero, NaN, +-inf and X outside [-38, 43].  Where longdouble is a
-    plain double the band exceeds 1/2 and every cell falls back.
+    A double with decimal exponent X in [-37, -1] (|v| in [1e-37, 1),
+    where every error-map cell lies in practice) has the 17 digits
+    N = round-half-even(|v| 10**p), p = 16 - X, computed exactly in
+    integers (the method of Adams, "Ryu revisited: printf floating point
+    conversion", OOPSLA 2019).  |v| = M 2**e with M the 53-bit
+    significand; X is the decimal exponent of the binade, plus one where
+    |v| reaches the smallest double at or above the next power of ten.
+    N is the part of M 5**p above bit s = -(e + p), and the bits below
+    decide the rounding: up above one half, to even at exactly one half.
+    For p <= 27 (X >= -11, every registry map's cells), 5**p < 2**63 and
+    M 5**p < 2**116 is formed exactly in two words from 32-bit pieces,
+    with s in [35, 62].  Beyond, M 5**p 2**4 takes three words; N comes
+    from the upper two (s + 4 - 64 in [1, 62]) and the lowest only tells
+    whether anything nonzero lies below (no exact tie is possible there:
+    it would need s - 1 > 52 trailing zero bits in M).  N = 10**17
+    becomes 10**16 with X + 1.  Zero, subnormals, NaN, +-inf and |v|
+    outside [1e-37, 1) are formatted by `'%.17g' %` instead.
 
-    The digits go to fixed slots (each followed by a point slot); a
-    table row per (X, last nonzero digit) supplies the "0.000" prefix, the
-    point and the exponent by Python's `g` rules and masks the stripped
-    trailing zeros to NUL."""
+    The digits go to fixed slots: the leading digit, a point slot, then
+    16 digits.  A table row per (p, trailing zeros) supplies the "0.000"
+    prefix or the point and the "e-XX" exponent by Python's `g` rules and
+    masks the stripped trailing zeros to NUL."""
+
+    _WORDS = ("a", "e", "p", "s", "hi", "lo", "mid", "t", "u", "n", "q")
 
     def __init__(self, cells: int, width: int):
         # One anonymous map holds `cells` output rows of `width` bytes
@@ -312,10 +349,10 @@ class _G17:
         # buffer.  It is unmapped when the last view of it goes; heap
         # buffers of this size stayed resident after each map and raised
         # the process's peak RSS by 1-2 MiB.
-        fields = (("lines", np.uint8, (cells, width)), ("digits", np.uint64, (cells, 5)),
-                  ("groups", np.intp, (4, cells)), ("y", np.longdouble, (cells,)),
-                  ("mag", float, (cells,)), ("exp", np.intp, (cells,)), ("n", np.int64, (cells,)),
-                  ("q", np.int64, (cells,)), ("ok", bool, (cells,)), ("flag", bool, (cells,)),
+        fields = (("lines", np.uint8, (cells, width)), ("text", np.uint64, (cells, 4)),
+                  ("digits", np.uint64, (cells, 4)), ("groups", np.uint64, (4, cells)),
+                  *((w, np.uint64, (cells,)) for w in self._WORDS),
+                  ("ok", bool, (cells,)), ("flag", bool, (cells,)),
                   ("zeros", np.uint8, (cells,)), ("more", np.uint8, (cells,)))
         sizes = [-(-np.dtype(t).itemsize * int(np.prod(shape)) // 16) * 16 for _, t, shape in fields]
         self.arena = mmap.mmap(-1, max(sum(sizes), 1))
@@ -324,106 +361,155 @@ class _G17:
             view = np.frombuffer(self.arena, dtype, int(np.prod(shape)), offset).reshape(shape)
             setattr(self, name, view)
             offset += size
-        # bytes 6, 7 of a cell's digits: leading digit and a point slot,
-        # then four groups of four digits and point slots
+        # a cell's digit bytes: the leading digit at 6, the other 16 from 8
+        # on; every other byte stays 0xFF, so the AND keeps the layout there
         self.digits.fill(np.iinfo(np.uint64).max)
 
-    @staticmethod
-    def _scale(mag, exp, out) -> None:
-        """out = mag * 10**(16 - exp) in longdouble, exp in [X_MIN - 1, X_MAX + 1]."""
-        i = exp - (_G17_X_MIN - 1)
-        np.multiply(mag, _G17_SCALE[0][i], out=out)
-        out *= _G17_SCALE[1][i]
-        out /= _G17_SCALE[2][i]
-
-    def __call__(self, v: np.ndarray, slots: np.ndarray) -> None:
+    def __call__(self, v: np.ndarray, slots: np.ndarray) -> int:
+        """Lay out the doubles `v` into `slots` (len(v) rows of
+        _G17_WIDTH bytes); returns how many went through `'%.17g' %`."""
         size = v.size
-        mag, ok, flag, exp, y, n, q, zeros, more = (
-            b[:size] for b in (self.mag, self.ok, self.flag, self.exp, self.y,
-                               self.n, self.q, self.zeros, self.more))
-        groups, digits = self.groups[:, :size], self.digits[:size]
-        np.abs(v, out=mag)
-        log = q.view(float)  # q is free until the digit groups
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log10(mag, out=log)
-        np.floor(log, out=log)
-        np.less_equal(_G17_X_MIN, log, out=ok)  # false for 0, NaN and inf too
-        np.greater_equal(_G17_X_MAX, log, out=flag)
-        ok &= flag
-        np.copyto(mag, 1.0, where=~ok)
-        np.copyto(log, 0.0, where=~ok)
-        np.copyto(exp, log, casting="unsafe")
-        self._scale(mag, exp, y)
-        np.copyto(n, y, casting="unsafe")  # trunc
-        off = np.flatnonzero((n < 10**16) | (n >= 10**17))
-        if off.size:
-            exp[off] += np.where(n[off] < 10**16, -1, 1)
-            y_off = np.empty(off.size, np.longdouble)
-            self._scale(mag[off], exp[off], y_off)
-            y[off] = y_off
-            n[off] = y_off.astype(np.int64)
-            ok[off] &= (n[off] >= 10**16) & (n[off] < 10**17)
-        frac = y
-        frac -= n
-        np.greater(frac, 0.5, out=flag)
+        a, e, p, s, hi, lo, mid, t, u, n, q = (getattr(self, w)[:size] for w in self._WORDS)
+        ok, flag, zeros, more = self.ok[:size], self.flag[:size], self.zeros[:size], self.more[:size]
+        groups, digits, text = self.groups[:, :size], self.digits[:size], self.text[:size]
+
+        # X (as p = 16 - X) and s from the binade of |v|
+        np.abs(v, out=a.view(float))
+        np.right_shift(a, 52, out=e)
+        np.take(_G17_TEN, e.view(np.intp), out=t)
+        np.greater_equal(a, t, out=flag)
+        np.take(_G17_P, e.view(np.intp), out=p)
+        p -= flag
+        np.take(_G17_SHIFT, e.view(np.intp), out=s)
+        s += flag
+        np.subtract(p, 16 - _G17_X_MAX, out=t)
+        np.less_equal(t, _G17_X_MAX - _G17_X_MIN, out=ok)  # unsigned: wraps below
+        np.greater(p, _G17_P_NARROW, out=flag)
+        flag &= ok
+        wide = np.flatnonzero(flag) if flag.any() else None
+
+        # M 5**p = hi 2**64 + lo, from M = mh 2**32 + ml and 5**p = fh 2**32 + fl
+        np.right_shift(a, 32, out=hi)
+        hi &= 0xFFFFF
+        hi |= 0x100000  # mh
+        np.bitwise_and(a, 0xFFFFFFFF, out=lo)  # ml
+        np.take(_G17_FIVE_LO, p.view(np.intp), out=t, mode="clip")
+        np.take(_G17_FIVE_HI, p.view(np.intp), out=u, mode="clip")
+        np.multiply(lo, u, out=mid)  # ml fh
+        lo *= t  # ml fl
+        t *= hi  # mh fl
+        mid += t  # below 2**63 + 2**53
+        hi *= u  # mh fh
+        np.left_shift(mid, 32, out=t)
+        lo += t
+        np.less(lo, t, out=flag)  # the carry out of lo
+        mid >>= 32
+        hi += mid
+        hi += flag
+        if wide is not None:  # words 2, 1 and 0 of M 5**p 2**4 = M (f1 2**64 + f0)
+            aw = a[wide]
+            mh, ml = (aw >> 32 & 0xFFFFF) | 0x100000, aw & 0xFFFFFFFF
+            f = _G17_FIVE_WIDE[p[wide] - (_G17_P_NARROW + 1)]
+            word2, word1 = _times(mh, ml, f[:, 0])
+            carry, word0 = _times(mh, ml, f[:, 1])
+            lo[wide] = word1 + carry
+            hi[wide] = word2 + (lo[wide] < carry)
+            s[wide] -= 64 - 4
+
+        # N = (hi, lo) >> s, rounded half to even on the bits shifted out
+        np.subtract(64, s, out=u)
+        np.left_shift(hi, u, out=n)
+        np.right_shift(lo, s, out=t)
+        n |= t
+        np.left_shift(lo, u, out=t)  # the bits shifted out, as a fraction of 2**64
+        np.bitwise_and(n, 1, out=u)
+        if wide is not None:
+            u[wide] |= word0 != 0  # below the fraction's top word
+        np.subtract(2**63, u, out=u)
+        np.greater(t, u, out=flag)
         n += flag
-        frac -= 0.5
-        np.abs(frac, out=frac)
-        np.greater(frac, _G17_BAND, out=flag)
-        ok &= flag
         np.equal(n, 10**17, out=flag)
         if flag.any():
             n[flag] = 10**16
-            exp += flag
-        np.less_equal(_G17_X_MIN, exp, out=flag)
-        ok &= flag
-        np.greater_equal(_G17_X_MAX, exp, out=flag)
-        ok &= flag
+            p -= flag
 
-        # four-digit groups, least significant first, then the leading digit
-        np.floor_divide(n, 10**4, out=q)
+        # four-digit groups, least significant first, then the leading
+        # digit; a cell's digit words: 0xFF bytes but the leading digit at
+        # byte 6, then two words of four-digit groups, 0xFF bytes after them
         for g in groups:
+            np.floor_divide(n, 10**4, out=q)
             np.multiply(q, 10**4, out=g)
             np.subtract(n, g, out=g)
             n, q = q, n
-            np.floor_divide(n, 10**4, out=q)
-        ascii = digits.view(np.uint8)
-        np.add(n, 48, out=ascii[:, 6], casting="unsafe")
-        for k in range(4):
-            np.take(_G17_QUADS, groups[3 - k], out=digits[:, 1 + k], mode="clip")
-        np.take(_G17_QUAD_ZEROS, groups[0], out=zeros, mode="clip")
+        np.left_shift(n, 48, out=t)
+        np.bitwise_or(t, 0xFF30FFFFFFFFFFFF, out=digits[:, 0])
+        for k in (1, 2):
+            np.take(_G17_QUADS, groups[5 - 2 * k].view(np.intp), out=t, mode="clip")
+            np.take(_G17_QUADS_HIGH, groups[4 - 2 * k].view(np.intp), out=u, mode="clip")
+            np.bitwise_or(t, u, out=digits[:, k])
+        np.take(_G17_QUAD_ZEROS, groups[0].view(np.intp), out=zeros, mode="clip")
         for k in (1, 2, 3):
             np.equal(zeros, 4 * k, out=flag)
             if not flag.any():
                 break
-            np.take(_G17_QUAD_ZEROS, groups[k], out=more, mode="clip")
+            np.take(_G17_QUAD_ZEROS, groups[k].view(np.intp), out=more, mode="clip")
             more *= flag
             zeros += more
 
-        # layout row (X, 16 - trailing zeros), digits masked into it
-        np.clip(exp, _G17_X_MIN, _G17_X_MAX, out=exp)
-        exp -= _G17_X_MIN
-        exp *= 17
-        exp += 16
-        exp -= zeros
-        np.take(_G17_LAYOUT, exp, axis=0, out=slots, mode="clip")
-        slots[:, 6:39] &= ascii[:, 6:39]
+        # layout row (p, trailing zeros), the digits masked into it
+        p *= 17
+        p += zeros
+        np.take(_G17_LAYOUT, p.view(np.intp), axis=0, out=text, mode="clip")
+        text &= digits
+        chars = text.view(np.uint8)
         np.signbit(v, out=flag)
-        np.copyto(slots[:, 0], ord("-"), where=flag)
+        if flag.any():
+            np.copyto(chars[:, 0], ord("-"), where=flag)
         fallback = np.flatnonzero(~ok)
         if fallback.size:
-            text = np.array(["%.17g" % x for x in v[fallback].tolist()], f"S{_G17_WIDTH}")
-            slots[fallback] = text.view(np.uint8).reshape(-1, _G17_WIDTH)
+            formatted = np.array(["%.17g" % x for x in v[fallback].tolist()], f"S{_G17_WIDTH}")
+            chars[fallback, :_G17_WIDTH] = formatted.view(np.uint8).reshape(-1, _G17_WIDTH)
+        slots[...] = chars[:, :_G17_WIDTH]
+        return fallback.size
 
 
 def truncation_error_map(pattern: TargetPattern, exp: ZernikeExpansion, crystal=None) -> ErrorMap:
     """|F - F_tilde| / peak on a 256 x 512 polar grid, and at the ions of
-    `crystal` when one is given."""
+    `crystal` when one is given.
+
+    The grid goes through in blocks of _MAP_ROWS rows, each block's
+    pattern values, order-by-order products and |.| / peak formed in
+    buffers of that size.  Every radial sum is contracted once over all
+    256 radii (a contraction's bits depend on the array length) and every
+    cos(m phi), sin(m phi) row is formed once, so each cell has the bits
+    of `np.abs(pattern(rho, phi) - exp.reconstruct(rho, phi)) / peak` on
+    the whole grid."""
     rho = np.linspace(0.0, 1.0, 256)
     phi = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
     scale = pattern.peak_value()
-    target = np.asarray(pattern(rho[:, None], phi[None, :]), dtype=float)
-    err = np.abs(target - exp.reconstruct(rho[:, None], phi[None, :])) / scale
+    sums = [(m, even[:, None], odd[:, None], np.cos(m * phi), np.sin(m * phi))
+            for m, even, odd in exp.radial_sums(rho)]
+    err = np.empty((rho.size, phi.size))
+    part = np.empty((_MAP_ROWS, phi.size))
+    other = np.empty_like(part)
+    for start in range(0, rho.size, _MAP_ROWS):
+        rows = slice(start, start + _MAP_ROWS)
+        block = err[rows]
+        block.fill(0.0)
+        for m, even, odd, cos, sin in sums:
+            if m == 0:
+                block += even[rows]
+            else:
+                np.copyto(part, even[rows])
+                part *= cos
+                np.copyto(other, odd[rows])
+                other *= sin
+                part += other
+                block += part
+        block *= exp.amplitude
+        np.subtract(np.asarray(pattern(rho[rows, None], phi[None, :]), dtype=float), block, out=block)
+        np.abs(block, out=block)
+        block /= scale
     ion_error = ion_max = None
     if crystal is not None:
         ion_error = np.abs(

@@ -12,6 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import record_acceptance
+from radial_sums import even
 from starkshaper import analysis as an
 from starkshaper.crystal import generate_hex_crystal
 from starkshaper.dynamics import (
@@ -333,7 +334,7 @@ class TestCriterion9Properties:
             if comp.m == 0:
                 continue
             achieved = bessel_j(1, comp.even(rho))
-            wanted = exp.amplitude * exp.even(comp.m, rho)
+            wanted = exp.amplitude * even(exp, comp.m, rho)
             worst = max(worst, float(np.max(np.abs(achieved - wanted))))
         assert check(9, "precompensation round-trip identity to 1e-10",
                      worst < 1e-10, f"worst residual {worst:.2e}")

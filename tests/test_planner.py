@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from radial_sums import even, odd
 from starkshaper import planner
 from starkshaper.crystal import generate_hex_crystal
 from starkshaper.dynamics import evolve_exact
@@ -125,7 +126,7 @@ class TestCalibrationIdentity:
         comp = seg.deformation.components[0]
         rho = np.linspace(0, 1, 500)
         # cos(delta + psi) recovers A*P0 wherever the clip did not engage
-        target = np.clip(exp.amplitude * exp.even(0, rho), -1.0, 1.0)
+        target = np.clip(exp.amplitude * even(exp, 0, rho), -1.0, 1.0)
         realized = np.cos(comp.even(rho) + seg.psi)
         np.testing.assert_allclose(realized, target, atol=1e-12)
         # peak ion phase: 2 * U * F * T = pi
@@ -141,7 +142,7 @@ class TestCalibrationIdentity:
             if comp.m == 0:
                 continue
             achieved = bessel_j(1, comp.even(rho))
-            wanted = exp.amplitude * exp.even(comp.m, rho)
+            wanted = exp.amplitude * even(exp, comp.m, rho)
             np.testing.assert_allclose(achieved, wanted, atol=1e-10)
 
     def test_odd_component_round_trip(self):
@@ -157,7 +158,7 @@ class TestCalibrationIdentity:
         for seg in odd_segments:
             comp = seg.deformation.components[0]
             achieved = bessel_j(1, comp.odd(rho))
-            wanted = exp.amplitude * exp.odd(comp.m, rho)
+            wanted = exp.amplitude * odd(exp, comp.m, rho)
             np.testing.assert_allclose(achieved, wanted, atol=1e-10)
 
 
@@ -208,16 +209,16 @@ class TestParallel:
         for comp in s.segments[0].deformation.components:
             if comp.m == 0:
                 np.testing.assert_allclose(
-                    comp.even(rho), 0.5 * exp.amplitude * exp.even(0, rho), atol=1e-14
+                    comp.even(rho), 0.5 * exp.amplitude * even(exp, 0, rho), atol=1e-14
                 )
             else:
                 if comp.even is not None:
                     np.testing.assert_allclose(
-                        comp.even(rho), exp.amplitude * exp.even(comp.m, rho), atol=1e-14
+                        comp.even(rho), exp.amplitude * even(exp, comp.m, rho), atol=1e-14
                     )
                 if comp.odd is not None:
                     np.testing.assert_allclose(
-                        comp.odd(rho), exp.amplitude * exp.odd(comp.m, rho), atol=1e-14
+                        comp.odd(rho), exp.amplitude * odd(exp, comp.m, rho), atol=1e-14
                     )
 
     def test_amplitude_warning_above_linear_regime(self):

@@ -196,6 +196,45 @@ class TestZernikeRadial:
         with pytest.raises(ValueError):
             zernike_radial_stack(-1, 2, np.array([0.5]))
 
+    @pytest.mark.parametrize("m, k_max, rho", [
+        (0, 0, 0.3),
+        (3, 1, np.linspace(0.0, 1.0, 57)),
+        (2, 27, np.linspace(0.0, 1.0, 2048)),
+        (range(21), 20, np.linspace(0.0, 1.0, 256)[:, None]),
+        ([0, 1, 4, 9], 12, np.random.default_rng(3).random(91)),
+        (np.array([[1, 2], [5, 7]]), 6, np.random.default_rng(4).random((3, 4))),
+    ])
+    def test_stack_keeps_the_bits_of_the_per_k_recurrence(self, m, k_max, rho):
+        np.testing.assert_array_equal(zernike_radial_stack(m, k_max, rho),
+                                      frozen_radial_stack(m, k_max, rho), strict=True)
+
+
+def frozen_radial_stack(m, k_max: int, rho) -> np.ndarray:
+    """zernike_radial_stack as it stood with every recurrence factor
+    computed inside the k loop: the reference its bits are held to."""
+    orders = np.asarray(m, dtype=int)
+    rho_arr = np.asarray(rho, dtype=float)
+    x = 1.0 - 2.0 * rho_arr * rho_arr
+    rho_m = np.array([rho_arr**k if k else np.ones_like(rho_arr) for k in orders.ravel().tolist()])
+    rho_m = rho_m.reshape(orders.shape + rho_arr.shape)
+    m = orders.reshape(orders.shape + (1,) * rho_arr.ndim)
+    stack = np.empty(orders.shape + (k_max + 1,) + rho_arr.shape, dtype=float)
+    out = np.moveaxis(stack, orders.ndim, 0)
+    p_prev = np.ones_like(rho_m)
+    out[0] = rho_m
+    if k_max >= 1:
+        p_cur = 0.5 * ((m + 2.0) * x + m)
+        out[1] = -rho_m * p_cur
+    for k in range(2, k_max + 1):
+        c = 2.0 * k + m
+        a1 = 2.0 * k * (k + m) * (c - 2.0)
+        a2 = (c - 1.0) * (c * (c - 2.0) * x + m * m)
+        a3 = 2.0 * (k + m - 1.0) * (k - 1.0) * c
+        p_next = (a2 * p_cur - a3 * p_prev) / a1
+        p_prev, p_cur = p_cur, p_next
+        out[k] = rho_m * p_cur if k % 2 == 0 else -rho_m * p_cur
+    return stack
+
 
 class TestZernikeEval:
     def test_sign_convention(self):

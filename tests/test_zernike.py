@@ -3,12 +3,14 @@
 import json
 import re
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radial_sums import even, odd
 from starkshaper import zernike
 from starkshaper.analysis import SCENARIOS
 from starkshaper.config import config_from_dict
@@ -18,6 +20,7 @@ from starkshaper.patterns import (
     AnnulusPattern,
     DisplacedGaussianPattern,
     EllipticalGaussianPattern,
+    TabulatedPattern,
     make_pattern,
 )
 from starkshaper.specfun import ZernikeIndex, zernike_eval
@@ -206,9 +209,9 @@ class TestRadialProfiles:
             total = np.zeros(np.broadcast_shapes(rho.shape, phi.shape))
             for m in range(exp.m_max + 1):
                 if m == 0:
-                    total += exp.even(0, rho)
+                    total += even(exp, 0, rho)
                 else:
-                    total += exp.even(m, rho) * np.cos(m * phi) + exp.odd(m, rho) * np.sin(m * phi)
+                    total += even(exp, m, rho) * np.cos(m * phi) + odd(exp, m, rho) * np.sin(m * phi)
             total *= exp.amplitude
             np.testing.assert_array_equal(exp.reconstruct(rho, phi), total)
 
@@ -235,6 +238,36 @@ class TestErrorMap:
             decompose(EllipticalGaussianPattern(amplitude=0.5), n_max=20, m_max=8),
         )
         assert e1.disk_max == pytest.approx(e2.disk_max, rel=1e-9)
+
+    @pytest.mark.parametrize("kind, amplitude, n_max, m_max", [
+        ("displaced_gaussian", 3.0, 40, 20),
+        ("elliptical_gaussian", 0.5, 32, 12),
+        ("annulus", 1.0, 24, 0),
+        ("tabulated", 3.0, 40, 9),
+    ])
+    def test_map_is_the_one_piece_formula_bit_for_bit(self, kind, amplitude, n_max, m_max):
+        if kind == "tabulated":
+            # the displaced spot sampled on a polar table, measured against
+            # the spot's own expansion
+            spot = make_pattern("displaced_gaussian", amplitude)
+            rho_t, phi_t = np.linspace(0.0, 1.0, 33), np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+            pattern = TabulatedPattern(amplitude, rho_t, phi_t, spot(rho_t[:, None], phi_t[None, :]))
+            exp = decompose(spot, n_max=n_max, m_max=m_max)
+        else:
+            pattern = make_pattern(kind, amplitude)
+            exp = decompose(pattern, n_max=n_max, m_max=m_max)
+        crystal = generate_hex_crystal(5, 0.2)
+        em = truncation_error_map(pattern, exp, crystal)
+        rho = np.linspace(0.0, 1.0, 256)
+        phi = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+        peak = pattern.peak_value()
+        error = np.abs(pattern(rho[:, None], phi[None, :]) - exp.reconstruct(rho[:, None], phi[None, :])) / peak
+        ion_error = np.abs(pattern(crystal.rho, crystal.phi) - exp.reconstruct(crystal.rho, crystal.phi)) / peak
+        np.testing.assert_array_equal(em.rho, rho, strict=True)
+        np.testing.assert_array_equal(em.phi, phi, strict=True)
+        np.testing.assert_array_equal(em.error, error, strict=True)
+        np.testing.assert_array_equal(em.ion_error, ion_error, strict=True)
+        assert (em.disk_max, em.ion_max) == (np.max(error), np.max(ion_error))
 
     def test_map_csv_round_trip(self, tmp_path):
         pat = AnnulusPattern(amplitude=1.0)
@@ -268,6 +301,44 @@ class TestErrorMap:
         em.write_csv(path)
         assert path.read_bytes() == reference_csv(em)
 
+    def test_registry_map_cells_need_no_fallback(self):
+        # every cell of a registry map gets its digits from the integer
+        # rule; none goes through '%.17g' %
+        pat = make_pattern("displaced_gaussian", 3.0)
+        values = truncation_error_map(pat, decompose(pat, n_max=40, m_max=20)).error.ravel()
+        assert g17_cells(values) == ([b"%.17g" % x for x in values.tolist()], 0)
+
+    @pytest.mark.parametrize("scale", [1e-11, 1e-20, 1e-25])
+    def test_small_errors_need_no_fallback(self, scale):
+        # a map of errors down to 1e-37 takes the three-word product
+        pat = make_pattern("displaced_gaussian", 3.0)
+        values = truncation_error_map(pat, decompose(pat, n_max=40, m_max=20)).error.ravel() * scale
+        assert g17_cells(values) == ([b"%.17g" % x for x in values.tolist()], 0)
+
+    def test_integer_rule_covers_exactly_1e_37_to_1(self):
+        rng = np.random.default_rng(5)
+        inside = np.concatenate([10.0 ** rng.uniform(-37, 0, 20000), [1e-37, np.nextafter(1.0, 0.0), 0.5, 0.25]])
+        outside = np.array([np.nextafter(1e-37, 0.0), 1.0, 0.0, 5e-324, np.inf, np.nan, 1e300, -2.5])
+        assert g17_cells(inside) == ([b"%.17g" % x for x in inside.tolist()], 0)
+        assert g17_cells(outside) == ([b"%.17g" % x for x in outside.tolist()], outside.size)
+
+    def test_exact_ties_round_half_to_even(self):
+        # m 2**-k is an exact tie for 17 digits when its decimal expansion
+        # has 18 significant digits, the last a 5; '%.17g' rounds it to
+        # the even neighbour, up or down
+        ties = {}
+        for k in range(20, 40):
+            for m in range(1, 2**12, 2):
+                digits = Decimal(m * 2.0**-k).as_tuple().digits
+                if len(digits) == 18 and digits[-1] == 5:
+                    ties.setdefault(digits[-2] % 2 == 1, []).append(m * 2.0**-k)
+        assert 2.0**-25 in ties[False] and 3 * 2.0**-25 in ties[True]
+        assert (b"%.17g" % 2.0**-25, b"%.17g" % (3 * 2.0**-25)) == (
+            b"2.9802322387695312e-08", b"8.9406967163085938e-08")
+        values = np.array(ties[False][:2000] + ties[True][:2000])
+        assert min(len(ties[False]), len(ties[True])) >= 1000
+        assert g17_cells(values) == ([b"%.17g" % x for x in values.tolist()], 0)
+
     def test_hard_doubles_bytes_match_reference(self, tmp_path):
         values = hard_doubles(64 + 512 + 64 * 512)
         em = ErrorMap(rho=values[:64], phi=values[64:576], error=values[576:].reshape(64, 512),
@@ -296,6 +367,14 @@ class TestErrorMap:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+def g17_cells(values: np.ndarray) -> tuple[list[bytes], int]:
+    """Each value as one `_G17` call lays it out, NUL padding dropped, and
+    the number of values it left to '%.17g' %."""
+    g17 = zernike._G17(values.size, zernike._G17_WIDTH)
+    fallbacks = g17(values, g17.lines)
+    return [bytes(row).replace(b"\0", b"") for row in g17.lines], fallbacks
 
 
 def reference_csv(em: ErrorMap) -> bytes:
