@@ -22,7 +22,6 @@ import json
 import math
 import mmap
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -265,30 +264,35 @@ def _g17_tables():
     digits and its count of trailing zeros.  Built in small dtypes:
     import-time temporaries would stay resident."""
     p_max = 16 - _G17_X_MIN
+    binades = np.arange(math.floor((_G17_X_MIN - 1) * math.log2(10)), math.ceil((_G17_X_MAX + 1) * math.log2(10)))
+    x = np.array([len(str(2**b)) - 1 if b >= 0 else len(str(5**-b)) - 1 + b
+                  for b in binades.tolist()])  # floor(log10 2**b)
+    keep = (_G17_X_MIN - 1 <= x) & (x <= _G17_X_MAX)
+    field, x = binades[keep] + 1023, x[keep]
+    up = {}  # the smallest double >= 10**k (k <= 0): 10**k rounded, one ulp up if below
+    for k in range(_G17_X_MIN, _G17_X_MAX + 2):
+        t = float(f"1e{k}")
+        n, d = t.as_integer_ratio()
+        up[k] = t if n * 10**-k >= d else float(np.nextafter(t, np.inf))
     p = np.full(2048, 255, np.uint64)  # 255: no decimal exponent written here
     ten = np.zeros(2048, np.uint64)
     shift = np.zeros(2048, np.uint64)
-    for b in range(math.floor((_G17_X_MIN - 1) * math.log2(10)), math.ceil((_G17_X_MAX + 1) * math.log2(10))):
-        x = len(str(2**b)) - 1 if b >= 0 else len(str(5**-b)) - 1 + b  # floor(log10 2**b)
-        if _G17_X_MIN - 1 <= x <= _G17_X_MAX:
-            up = Fraction(10) ** (x + 1)
-            t = float(up)
-            t = t if Fraction(t) >= up else float(np.nextafter(t, np.inf))
-            p[b + 1023], ten[b + 1023] = 16 - x, np.float64(t).view(np.uint64)
-            shift[b + 1023] = 1075 - (b + 1023) - (16 - x)
+    p[field] = 16 - x
+    ten[field] = np.array([up[k + 1] for k in x.tolist()]).view(np.uint64)
+    shift[field] = 1075 - field - (16 - x)
     five = np.array([5**k for k in range(_G17_P_NARROW + 1)], np.uint64)
     wide = np.array([divmod(5**k << 4, 2**64) for k in range(_G17_P_NARROW + 1, p_max + 1)], np.uint64)
-    layout = np.zeros((p_max + 1, 17, 32), np.uint8)  # (p, trailing zeros, slot)
-    for k in range(16 - _G17_X_MAX - 1, p_max + 1):  # from X + 1 after rounding up
-        x = 16 - k
-        for zeros in range(17):
-            row = layout[k, zeros]
-            row[6], row[8:24 - zeros] = 0xFF, 0xFF
-            if x < -4:
-                row[7] = ord(".") if zeros < 16 else 0
-                row[24:28] = np.frombuffer(b"e%+03d" % x, np.uint8)
-            elif x < 0:
-                row[1:2 - x] = np.frombuffer(b"0." + b"0" * (-x - 1), np.uint8)
+    # (p, trailing zeros, slot), for p = 16 - X from X + 1 after rounding up
+    layout = np.zeros((p_max + 1, 17, 32), np.uint8)
+    rows = layout[16 - _G17_X_MAX - 1:]
+    rows[:, :, 6] = 0xFF
+    rows[:, :, 8:24] = np.where(np.arange(8, 24) < 24 - np.arange(17)[:, None], 0xFF, 0)
+    exponent = np.arange(21, p_max + 1)  # X <= -5: d.ddde-XX
+    layout[exponent, :16, 7] = ord(".")
+    layout[exponent, :, 24:28] = np.frombuffer(
+        b"".join(b"e%+03d" % (16 - k) for k in exponent.tolist()), np.uint8).reshape(-1, 1, 4)
+    for k in range(17, 21):  # X in [-4, -1]: 0.000ddd
+        layout[k, :, 1:k - 14] = np.frombuffer(b"0." + b"0" * (k - 17), np.uint8)
     group = np.arange(10000, dtype=np.uint16)
     quads = np.zeros((10000, 4), np.uint8)
     zeros = np.zeros(10000, np.uint8)
