@@ -301,16 +301,11 @@ class TestErrorMap:
         em.write_csv(path)
         assert path.read_bytes() == reference_csv(em)
 
-    def test_registry_map_cells_need_no_fallback(self):
+    @pytest.mark.parametrize("scale", [1.0, 1e-11, 1e-20, 1e-25])
+    def test_map_cells_need_no_fallback(self, scale):
         # every cell of a registry map gets its digits from the integer
-        # rule; none goes through '%.17g' %
-        pat = make_pattern("displaced_gaussian", 3.0)
-        values = truncation_error_map(pat, decompose(pat, n_max=40, m_max=20)).error.ravel()
-        assert g17_cells(values) == ([b"%.17g" % x for x in values.tolist()], 0)
-
-    @pytest.mark.parametrize("scale", [1e-11, 1e-20, 1e-25])
-    def test_small_errors_need_no_fallback(self, scale):
-        # a map of errors down to 1e-37 takes the three-word product
+        # rule, none from '%.17g' %; so do maps of errors down to 1e-35,
+        # through the three-word product
         pat = make_pattern("displaced_gaussian", 3.0)
         values = truncation_error_map(pat, decompose(pat, n_max=40, m_max=20)).error.ravel() * scale
         assert g17_cells(values) == ([b"%.17g" % x for x in values.tolist()], 0)
